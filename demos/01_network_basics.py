@@ -16,7 +16,6 @@ from udiscrim import (
     SplitterPlan,
     bs_transform,
     classify,
-    derive_plan,
     detector_amplitudes,
     from_intensity_phase,
     intensity,
@@ -30,7 +29,7 @@ print(f"  transmitted {a_out:.4f}, reflected {b_out:.4f}")
 print(f"  intensities {intensity(a_out):.3f} + {intensity(b_out):.3f} = 1\n")
 
 # The network needs three splitters; only the input ratio t0 is free.
-plan = derive_plan(0.5)
+plan = SplitterPlan(0.5)
 print(f"plan for t0=0.5: t1={plan.t1:.4f}, t2={plan.t2:.4f}")
 print("(t1 and t2 are always derived from t0; t0=1/2 is the optimal choice")
 print(" for equally likely program states)\n")

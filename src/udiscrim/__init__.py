@@ -50,7 +50,6 @@ from .network import (
     SplitterPlan,
     TrialOutcome,
     classify,
-    derive_plan,
     detector_amplitudes,
     nstate_amplitudes,
     outcome_from_clicks,
@@ -104,7 +103,6 @@ __all__ = [
     "click_matrix",
     "click_probability",
     "csv_bytes",
-    "derive_plan",
     "detector_amplitudes",
     "emit",
     "evolve",

@@ -280,3 +280,7 @@ def _pre_scan_config(argv: list[str]) -> Path | None:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -33,8 +33,8 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError(f"quantum efficiency must lie in [0, 1], got {self.eta}")
-        if self.dark_mean < 0.0:
-            raise ValueError(f"dark_mean must be >= 0, got {self.dark_mean}")
+        if not (0.0 <= self.dark_mean < math.inf):
+            raise ValueError(f"dark_mean must be finite and >= 0, got {self.dark_mean}")
 
     @property
     def dark_click_probability(self) -> float:

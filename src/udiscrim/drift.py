@@ -28,8 +28,8 @@ class DriftModel:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not (0.0 <= self.sigma < math.inf):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class StabilizerConfig:
     gain: float = 0.7
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.dither):
+            raise ValueError(f"dither must be finite, got {self.dither}")
         if self.enabled:
             if self.probe_trials <= 0:
                 raise ValueError("stabilizer needs probe_trials >= 1")
@@ -107,8 +109,8 @@ def stabilize(
     used = 0
     for loop, pm in enumerate(probes):
         signal = 4.0 * pm.visibility * pm.coupling * pm.program_intensity * math.sin(cfg.dither)
-        if signal <= 0.0:
-            continue  # no error signal from a dark/vacuum program state
+        if signal <= 0.0 or pm.detector.eta == 0.0:
+            continue  # no error signal from a dark/vacuum program state or a blind detector
         p_hi = click_probability(pm.dark_port_mean_photons(phases[loop] + cfg.dither), pm.detector)
         p_lo = click_probability(pm.dark_port_mean_photons(phases[loop] - cfg.dither), pm.detector)
         k_hi = int(rng.binomial(m, p_hi))

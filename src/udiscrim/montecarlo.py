@@ -141,7 +141,8 @@ class ExperimentConfig:
         else:
             if len(self.priors) != n:
                 raise ValueError(f"expected {n} priors, got {len(self.priors)}")
-            if min(self.priors) < 0.0 or abs(sum(self.priors) - 1.0) > 1e-9:
+            # The range test is written so that NaN fails it.
+            if not all(0.0 <= p <= 1.0 for p in self.priors) or abs(sum(self.priors) - 1.0) > 1e-9:
                 raise ValueError("priors must be nonnegative and sum to 1")
         if self.trials_per_block < 1 or self.blocks < 1:
             raise ValueError("need at least one block of at least one trial")
@@ -156,7 +157,7 @@ class ExperimentConfig:
 
 
 def _broadcast(items, n: int, what: str) -> tuple:
-    items = tuple(items) if isinstance(items, (list, tuple)) else (items,)
+    items = tuple(items)
     if len(items) == 1:
         return items * n
     if len(items) != n:
@@ -263,10 +264,6 @@ def run_trial(
 
 
 def _probe_models(cfg: ExperimentConfig) -> list[ProbeModel]:
-    if isinstance(cfg.plan, SplitterPlan):
-        couplings = [cfg.plan.t0 * cfg.plan.t1, (1.0 - cfg.plan.t0) * (1.0 - cfg.plan.t2)]
-    else:
-        couplings = [cfg.plan.stage_reflectance] * cfg.plan.n
     return [
         ProbeModel(
             coupling=c,
@@ -274,7 +271,7 @@ def _probe_models(cfg: ExperimentConfig) -> list[ProbeModel]:
             visibility=cfg.interference[j].visibility,
             detector=cfg.detectors[j],
         )
-        for j, c in enumerate(couplings)
+        for j, c in enumerate(cfg.plan.couplings)
     ]
 
 
@@ -282,7 +279,6 @@ def _run_block(
     cfg: ExperimentConfig,
     block_index: int,
     phases,
-    workers: int,
     pool: ThreadPoolExecutor | None,
 ) -> Counts:
     matrix = click_matrix(cfg, phases)
@@ -300,7 +296,8 @@ def _run_block(
         cdf=cdf,
         stride=stride,
     )
-    if pool is None:
+    # A lone chunk runs inline: handing it to a thread only adds latency.
+    if pool is None or len(bounds) == 1:
         parts = map(work, bounds)
     else:
         parts = pool.map(work, bounds)
@@ -371,7 +368,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
                 phases, used = stabilize(phases, cfg.stabilizer, probes, stab_rng)
                 probe_pulses += used
             history[b] = phases
-            block_counts.append(_run_block(cfg, b, phases, workers, pool))
+            block_counts.append(_run_block(cfg, b, phases, pool))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -67,6 +67,17 @@ class SplitterPlan:
     def n_ports(self) -> int:
         return 2
 
+    @property
+    def couplings(self) -> tuple[float, float]:
+        """Intensity share each interfering field keeps at ports 1 and 2,
+        t0/(1+t0) and (1-t0)/(2-t0).
+
+        Computed as products of splitter transmittances: the closed forms
+        differ from these in the last bit for most t0 (port 2 at t0 = 1/2
+        among them), and the lock's phase corrections follow that bit.
+        """
+        return (self.t0 * self.t1, (1.0 - self.t0) * (1.0 - self.t2))
+
 
 @dataclass(frozen=True)
 class NStatePlan:
@@ -94,6 +105,11 @@ class NStatePlan:
     def n_ports(self) -> int:
         return self.n
 
+    @property
+    def couplings(self) -> tuple[float, ...]:
+        """Intensity share each interfering field keeps at every port, 1/(n+1)."""
+        return (self.stage_reflectance,) * self.n
+
 
 Plan = SplitterPlan | NStatePlan
 
@@ -106,11 +122,6 @@ class PortAmplitudes:
 
     def intensities(self) -> tuple[float, ...]:
         return tuple(a.real * a.real + a.imag * a.imag for a in self.d)
-
-
-def derive_plan(t0: float) -> SplitterPlan:
-    """Build the two-state plan from the input splitter transmittance."""
-    return SplitterPlan(t0)
 
 
 def port_contributions(

@@ -23,8 +23,8 @@ from .detection import (
     analytic_p2,
 )
 from .drift import DriftModel, StabilizerConfig
-from .montecarlo import ExperimentConfig, ExperimentResult, run_experiment
-from .network import NStatePlan, SplitterPlan
+from .montecarlo import Counts, ExperimentConfig, fractions_from_blocks, run_experiment
+from .network import NStatePlan, Plan, SplitterPlan
 from .optics import ComplexAmplitude, from_intensity_phase
 
 SWEEP_VARIABLES = ("phase_difference", "intensity", "intensity_ratio", "n_states")
@@ -112,81 +112,64 @@ def _subseed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((seed, *tags)).generate_state(1, np.uint64)[0])
 
 
-def _two_state_config(
+def _config(
     params: ScenarioParams,
-    alpha1: ComplexAmplitude,
-    alpha2: ComplexAmplitude,
-    priors: tuple[float, float],
+    programs: tuple[ComplexAmplitude, ...],
+    plan: Plan,
+    detectors: tuple[DetectorModel, ...],
+    interference: tuple[InterferenceModel, ...],
+    true_index: int,
     seed: int,
 ) -> ExperimentConfig:
+    """One truth-conditioned experiment: the unknown always equals
+    ``programs[true_index]``; drift and the lock follow ``params``."""
     return ExperimentConfig(
-        programs=(alpha1, alpha2),
-        plan=SplitterPlan(params.t0),
-        detectors=(
-            DetectorModel(params.eta1, params.dark),
-            DetectorModel(params.eta2, params.dark),
-        ),
-        interference=(
-            InterferenceModel(params.vis1),
-            InterferenceModel(params.vis2),
-        ),
-        priors=priors,
+        programs=programs,
+        plan=plan,
+        detectors=detectors,
+        interference=interference,
+        priors=tuple(float(j == true_index) for j in range(len(programs))),
         trials_per_block=params.trials,
         blocks=params.blocks,
         seed=seed,
-        drift=DriftModel(params.drift_sigma) if params.drift_sigma > 0.0 else None,
+        drift=DriftModel(params.drift_sigma) if params.drift_sigma != 0.0 else None,
         stabilizer=StabilizerConfig() if params.stabilize else None,
     )
 
 
-def _pooled_inconclusive(results: list[ExperimentResult]) -> tuple[float, float]:
-    inc = sum(r.counts.inconclusive for r in results)
-    tot = sum(r.counts.c_tot for r in results)
-    block_fracs = np.array(
-        [c.inconclusive / c.c_tot for r in results for c in r.block_counts]
-    )
-    if len(block_fracs) >= 2:
-        se = float(block_fracs.std(ddof=1) / math.sqrt(len(block_fracs)))
-    else:
-        se = math.sqrt(inc / tot * (1.0 - inc / tot) / tot)
-    return inc / tot, se
-
-
-def _truth_conditioned_row(
+def _row(
     params: ScenarioParams,
     x: float,
-    alpha1: ComplexAmplitude,
-    alpha2: ComplexAmplitude,
     point: int,
+    runs: tuple[tuple[ComplexAmplitude, ComplexAmplitude, int], ...],
     workers: int,
 ) -> tuple[float, ...]:
-    """One sweep row: a truth-1 run feeds the j=1 columns, a truth-2 run
-    the j=2 columns, and both pool into the inconclusive column."""
-    r1 = run_experiment(
-        _two_state_config(params, alpha1, alpha2, (1.0, 0.0), _subseed(params.seed, point, 1)),
-        workers,
-    )
-    r2 = run_experiment(
-        _two_state_config(params, alpha1, alpha2, (0.0, 1.0), _subseed(params.seed, point, 2)),
-        workers,
-    )
-    p_inc, se_inc = _pooled_inconclusive([r1, r2])
+    """One sweep row from two runs, each given as ``(alpha1, alpha2,
+    true_index)``: the first feeds the j=1 columns, the second the j=2
+    columns, and both pool into the inconclusive column."""
+    plan = SplitterPlan(params.t0)
+    detectors = (DetectorModel(params.eta1, params.dark), DetectorModel(params.eta2, params.dark))
+    interference = (InterferenceModel(params.vis1), InterferenceModel(params.vis2))
+    measured, analytic, ideal, errors = [], [], [], []
+    blocks: tuple[Counts, ...] = ()
+    for tag, (alpha1, alpha2, k) in enumerate(runs, start=1):
+        cfg = _config(
+            params, (alpha1, alpha2), plan, detectors, interference, k,
+            _subseed(params.seed, point, tag),
+        )
+        res = run_experiment(cfg, workers)
+        f = res.fractions
+        measured += [float(f.p_plus[k]), float(f.p_minus[k])]
+        errors += [float(f.se_p_plus[k]), float(f.se_p_minus[k])]
+        blocks += res.block_counts
+        # Truth k is identified by a click at the other state's port.
+        closed_form, eta = (analytic_p1, params.eta2) if k == 0 else (analytic_p2, params.eta1)
+        analytic.append(closed_form(alpha1, alpha2, params.t0, eta))
+        ideal.append(closed_form(alpha1, alpha2, params.t0, 1.0))
+    pooled = fractions_from_blocks(blocks)
     return (
-        x,
-        float(r1.fractions.p_plus[0]),
-        float(r1.fractions.p_minus[0]),
-        float(r2.fractions.p_plus[1]),
-        float(r2.fractions.p_minus[1]),
-        p_inc,
-        analytic_p1(alpha1, alpha2, params.t0, params.eta2),
-        analytic_p2(alpha1, alpha2, params.t0, params.eta1),
-        analytic_p1(alpha1, alpha2, params.t0, 1.0),
-        analytic_p2(alpha1, alpha2, params.t0, 1.0),
-        float(r1.fractions.se_p_plus[0]),
-        float(r1.fractions.se_p_minus[0]),
-        float(r2.fractions.se_p_plus[1]),
-        float(r2.fractions.se_p_minus[1]),
-        se_inc,
+        x, *measured, pooled.p_inconclusive, *analytic, *ideal, *errors,
+        pooled.se_p_inconclusive,
     )
 
 
@@ -199,7 +182,7 @@ def sweep_phase(spec: SweepSpec, params: ScenarioParams, workers: int = 1) -> Ta
         alpha2 = from_intensity_phase(
             params.intensity2, math.radians(params.phase1_deg + x)
         )
-        rows.append(_truth_conditioned_row(params, float(x), alpha1, alpha2, i, workers))
+        rows.append(_row(params, float(x), i, ((alpha1, alpha2, 0), (alpha1, alpha2, 1)), workers))
     return Table("phase_sweep", RESULT_COLUMNS, tuple(rows))
 
 
@@ -212,7 +195,7 @@ def sweep_intensity(spec: SweepSpec, params: ScenarioParams, workers: int = 1) -
     for i, x in enumerate(spec.grid()):
         alpha1 = from_intensity_phase(float(x), math.radians(params.phase1_deg))
         alpha2 = from_intensity_phase(float(x), math.radians(params.phase1_deg) + dphi)
-        rows.append(_truth_conditioned_row(params, float(x), alpha1, alpha2, i, workers))
+        rows.append(_row(params, float(x), i, ((alpha1, alpha2, 0), (alpha1, alpha2, 1)), workers))
     return Table("intensity_sweep", RESULT_COLUMNS, tuple(rows))
 
 
@@ -232,34 +215,8 @@ def sweep_ratio(spec: SweepSpec, params: ScenarioParams, workers: int = 1) -> Ta
         alpha1 = from_intensity_phase(params.intensity1, phi1)
         alpha2_opp = from_intensity_phase(r * params.intensity1, phi1 + math.pi)
         alpha2_same = from_intensity_phase(r * params.intensity1, phi1)
-        res_opp = run_experiment(
-            _two_state_config(params, alpha1, alpha2_opp, (1.0, 0.0), _subseed(params.seed, i, 1)),
-            workers,
-        )
-        res_same = run_experiment(
-            _two_state_config(params, alpha1, alpha2_same, (1.0, 0.0), _subseed(params.seed, i, 2)),
-            workers,
-        )
-        p_inc, se_inc = _pooled_inconclusive([res_opp, res_same])
-        rows.append(
-            (
-                r,
-                float(res_opp.fractions.p_plus[0]),
-                float(res_opp.fractions.p_minus[0]),
-                float(res_same.fractions.p_plus[0]),
-                float(res_same.fractions.p_minus[0]),
-                p_inc,
-                analytic_p1(alpha1, alpha2_opp, params.t0, params.eta2),
-                analytic_p1(alpha1, alpha2_same, params.t0, params.eta2),
-                analytic_p1(alpha1, alpha2_opp, params.t0, 1.0),
-                analytic_p1(alpha1, alpha2_same, params.t0, 1.0),
-                float(res_opp.fractions.se_p_plus[0]),
-                float(res_opp.fractions.se_p_minus[0]),
-                float(res_same.fractions.se_p_plus[0]),
-                float(res_same.fractions.se_p_minus[0]),
-                se_inc,
-            )
-        )
+        runs = ((alpha1, alpha2_opp, 0), (alpha1, alpha2_same, 0))
+        rows.append(_row(params, r, i, runs, workers))
     return Table("ratio_sweep", RESULT_COLUMNS, tuple(rows))
 
 
@@ -291,21 +248,10 @@ def nstate_report(
         raise ValueError(f"expected {n} program states, got {len(programs)}")
     det = DetectorModel(params.eta1, params.dark)
     ideal_det = DetectorModel(params.eta1, 0.0)
+    vis = InterferenceModel(params.vis1)
     rows = []
     for k in range(n):
-        priors = tuple(1.0 if j == k else 0.0 for j in range(n))
-        cfg = ExperimentConfig(
-            programs=programs,
-            plan=plan,
-            detectors=(det,),
-            interference=(InterferenceModel(params.vis1),),
-            priors=priors,
-            trials_per_block=params.trials,
-            blocks=params.blocks,
-            seed=_subseed(params.seed, k, 0),
-            drift=DriftModel(params.drift_sigma) if params.drift_sigma > 0.0 else None,
-            stabilizer=StabilizerConfig() if params.stabilize else None,
-        )
+        cfg = _config(params, programs, plan, (det,), (vis,), k, _subseed(params.seed, k, 0))
         res = run_experiment(cfg, workers)
         rows.append(
             (
@@ -313,7 +259,7 @@ def nstate_report(
                 analytic_nstate_success(programs, k, plan, ideal_det),
                 float(res.fractions.p_plus[k]),
                 float(res.fractions.p_minus[k]),
-                res.counts.inconclusive / res.counts.c_tot,
+                res.fractions.p_inconclusive,
                 float(res.fractions.se_p_plus[k]),
                 float(res.fractions.se_p_minus[k]),
                 float(res.fractions.se_p_inconclusive),

@@ -30,7 +30,7 @@ from udiscrim.montecarlo import (
     click_matrix,
     run_experiment,
 )
-from udiscrim.network import NStatePlan, SplitterPlan, derive_plan, detector_amplitudes
+from udiscrim.network import NStatePlan, SplitterPlan, detector_amplitudes
 from udiscrim.optics import from_intensity_phase
 from udiscrim.sweeps import ScenarioParams, SweepSpec, sweep_intensity, sweep_ratio
 
@@ -46,13 +46,13 @@ def _report(name, detail=""):
 
 
 def test_splitting_ratio_reproduction():
-    plan = derive_plan(0.5)
+    plan = SplitterPlan(0.5)
     assert plan.t1 == 2 / 3
     assert plan.t2 == 1 / 3
     rng = np.random.default_rng(101)
     worst = 0.0
     for t0 in rng.uniform(1e-9, 1 - 1e-9, size=2000):
-        plan = derive_plan(float(t0))
+        plan = SplitterPlan(float(t0))
         worst = max(worst, abs(plan.t1 * (1 + t0) - 1.0))
         worst = max(worst, abs(plan.t2 * (2 - t0) - (1 - t0)))
     assert worst < 1e-15

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import udiscrim
 from udiscrim import cli
 
 FAST = ["--trials", "400", "--blocks", "2", "--dark", "0", "--vis1", "1", "--vis2", "1"]
@@ -151,3 +156,28 @@ class TestFailureModes:
 
     def test_bad_workers_is_usage_error(self):
         assert run(["sweep-intensity", "--workers", "0", *FAST]) == 2
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+    def test_bad_drift_sigma_is_usage_error(self, sigma):
+        assert run(["sweep-intensity", "--points", "2", "--drift-sigma", sigma, *FAST]) == 2
+
+    def test_blind_detector_with_lock_runs(self, tmp_path, capsys):
+        out = tmp_path / "blind.csv"
+        rc = run(["sweep-intensity", "--points", "2", "--eta1", "0", "--stabilize",
+                  "--drift-sigma", "0.1", "--out", out, *FAST])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.exists()
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    out = tmp_path / "n2.csv"
+    src = Path(udiscrim.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "udiscrim", "nstate", "--n", "2", "--trials", "100",
+         "--blocks", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("k,")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -265,3 +266,27 @@ class TestDriftIntegration:
         )
         res = run_experiment(cfg)
         assert sum(res.counts.c_minus) > 0
+
+    @pytest.mark.parametrize(
+        "t0, digest",
+        [
+            (0.5, "a3f80f0e3d2fe3bf88280b2d8aa51edb7e98032d01095cc85347acaa12ed688f"),
+            (0.3, "a009da35643c9236b91f60de36610c940bdc920c09c950f641c6ccf0cbc7de96"),
+        ],
+    )
+    def test_locked_phase_history_bytes_are_pinned(self, t0, digest):
+        # The lock divides by each port's coupling, so even a last-bit
+        # change in it moves the phase history, long before any count moves.
+        cfg = base_config(
+            plan=SplitterPlan(t0),
+            detectors=(DetectorModel(0.53, 4e-7),),
+            interference=(InterferenceModel(0.98),),
+            priors=(1.0, 0.0),
+            trials_per_block=1000,
+            blocks=8,
+            seed=3,
+            drift=DriftModel(0.1),
+            stabilizer=StabilizerConfig(),
+        )
+        res = run_experiment(cfg)
+        assert hashlib.sha256(res.phase_history.tobytes()).hexdigest() == digest

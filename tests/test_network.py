@@ -9,7 +9,6 @@ from udiscrim.network import (
     OutcomeKind,
     SplitterPlan,
     classify,
-    derive_plan,
     detector_amplitudes,
     nstate_amplitudes,
     outcome_from_clicks,
@@ -23,29 +22,29 @@ def random_state(rng):
 
 class TestSplitterPlan:
     def test_balanced_input_gives_thirds(self):
-        plan = derive_plan(0.5)
+        plan = SplitterPlan(0.5)
         assert plan.t1 == 2 / 3
         assert plan.t2 == 1 / 3
 
     def test_defining_relations_randomized(self):
         rng = np.random.default_rng(31)
         for t0 in rng.uniform(1e-6, 1 - 1e-6, size=200):
-            plan = derive_plan(float(t0))
+            plan = SplitterPlan(float(t0))
             assert plan.t1 * (1.0 + t0) == pytest.approx(1.0, rel=1e-15)
             assert plan.t2 * (2.0 - t0) == pytest.approx(1.0 - t0, rel=1e-15)
 
     def test_boundaries_warn_but_build(self):
         with pytest.warns(UserWarning):
-            plan = derive_plan(0.0)
+            plan = SplitterPlan(0.0)
         assert (plan.t1, plan.t2) == (1.0, 0.5)
         with pytest.warns(UserWarning):
-            plan = derive_plan(1.0)
+            plan = SplitterPlan(1.0)
         assert (plan.t1, plan.t2) == (0.5, 0.0)
 
     def test_out_of_range_rejected(self):
         for t0 in (-0.01, 1.01):
             with pytest.raises(ValueError):
-                derive_plan(t0)
+                SplitterPlan(t0)
 
 
 class TestDetectorAmplitudes:
