@@ -1,11 +1,14 @@
-"""Golden bytes: the SHA-256 of small CLI runs, pinned.
+"""Golden bytes: the SHA-256 of small CLI runs and library runs, pinned.
 
-Each case covers one way the sweeps build their experiments (truth-
+Each CLI case covers one way the sweeps build their experiments (truth-
 conditioned pairs, the ratio sweep's same-truth pair, the n-state report),
 with drift and the phase lock where they change the numbers.  The digests
 must not depend on the worker count, so every case runs at 1 and 2 workers
 against the same expected bytes.  A refactor that changes any digest has
 changed the simulator's output.
+
+The CLI only runs truth-conditioned (one-hot) priors, so the library cases
+pin the per-block counts of runs whose truth is drawn from the priors.
 """
 
 import hashlib
@@ -13,6 +16,11 @@ import hashlib
 import pytest
 
 from udiscrim import cli
+from udiscrim.detection import DetectorModel, InterferenceModel
+from udiscrim.drift import DriftModel
+from udiscrim.montecarlo import ExperimentConfig, run_experiment
+from udiscrim.network import NStatePlan
+from udiscrim.sweeps import ring_programs
 
 SMALL = ["--trials", "2000", "--blocks", "3", "--seed", "11"]
 
@@ -68,3 +76,50 @@ def _digests(tmp_path, args, workers):
 def test_cli_output_bytes_are_pinned(tmp_path, case, workers):
     args, expected = CASES[case]
     assert _digests(tmp_path, args, workers) == expected
+
+
+# case -> (ExperimentConfig keyword arguments, SHA-256 of the block counts)
+LIBRARY_CASES = {
+    # 70000 trials per block split into two chunks, so the workers shard.
+    "uniform-n8-two-chunks": (
+        dict(
+            programs=ring_programs(8, 9.0, 10.0),
+            plan=NStatePlan(8),
+            detectors=(DetectorModel(0.53, 1e-3),),
+            interference=(InterferenceModel(0.95),),
+            trials_per_block=70_000,
+            blocks=2,
+            seed=21,
+        ),
+        "1194ffb19d70ee4f0af9050eeda4fece5c99d2a22a2e21340b3fe2fed5bd4b2b",
+    ),
+    "skewed-n3-drift": (
+        dict(
+            programs=ring_programs(3, 2.0),
+            plan=NStatePlan(3),
+            detectors=(DetectorModel(0.53, 1e-3),),
+            interference=(InterferenceModel(0.9),),
+            priors=(0.6, 0.3, 0.1),
+            trials_per_block=3000,
+            blocks=3,
+            seed=4,
+            drift=DriftModel(0.1),
+        ),
+        "643701d60fc6749fa10ee15ed3eae1e6f85d46a3d697da8471eb54330c059895",
+    ),
+}
+
+
+def _block_digest(res) -> str:
+    rows = tuple(
+        (c.c_plus, c.c_minus, c.double_clicks, c.no_clicks, c.c_tot) for c in res.block_counts
+    )
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(LIBRARY_CASES))
+def test_library_block_counts_are_pinned(case, workers):
+    kwargs, expected = LIBRARY_CASES[case]
+    res = run_experiment(ExperimentConfig(**kwargs), workers)
+    assert _block_digest(res) == expected
