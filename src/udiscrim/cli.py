@@ -16,6 +16,7 @@ from pathlib import Path
 from .montecarlo import InvariantViolation
 from .output import emit
 from .sweeps import (
+    MAX_STATES,
     ScenarioParams,
     SweepSpec,
     Table,
@@ -213,8 +214,8 @@ def _build_tables(args: argparse.Namespace) -> list[Table]:
             params = dataclasses.replace(params, intensity1=1.33)
         return [sweep_ratio(spec, params, args.workers)]
     if args.command == "nstate":
-        if args.n < 2:
-            raise _UsageError(f"--n must be >= 2, got {args.n}")
+        if not 2 <= args.n <= MAX_STATES:
+            raise _UsageError(f"--n must lie in [2, {MAX_STATES}], got {args.n}")
         return [nstate_report(args.n, _params_from(args), args.workers)]
     raise _UsageError(f"unknown command {args.command!r}")
 

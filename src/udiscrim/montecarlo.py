@@ -11,11 +11,21 @@ stream keyed by the experiment seed, so the outcome of a trial depends
 only on (config, seed, trial index).  Sharding the trial range over any
 number of workers cannot change a single result, and a one-worker mode
 reproduces the parallel output exactly.
+
+The first draw of a trial picks the truth by a search in the prior CDF.
+When the CDF is 0 below some index k and at least 1 from k on, every draw
+in [0, 1) picks k, so the search is skipped; the draw is still consumed,
+so the stream layout does not depend on the priors.  A chunk of trials is
+then tallied in one pass: the 0/1 rows of hypotheses that no click
+excluded, times a weight vector, give exact integers that a lookup table
+turns into a class (the lone survivor's index, no click, or ambiguous),
+and one ``bincount`` over ``truth * (n + 2) + class`` yields every count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -207,6 +217,35 @@ def _prior_cdf(priors: tuple[float, ...]) -> np.ndarray:
     return cdf
 
 
+def _constant_truth(cdf: np.ndarray) -> int | None:
+    """The truth that every draw u in [0, 1) picks, or None if it varies.
+
+    ``searchsorted(cdf, u, side="right")`` counts the CDF entries <= u.  That
+    count is k for every u exactly when the first k entries are 0 and the
+    rest at least 1; a prior as small as 1e-10 makes the truth vary.
+    """
+    k = int(np.count_nonzero(cdf <= 0.0))
+    return k if bool(np.all(cdf[k:] >= 1.0)) else None
+
+
+def _class_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and a lookup table that classify a trial by its survivors.
+
+    For the 0/1 row ``alive`` of hypotheses no click excluded,
+    ``alive @ weights`` is the exact integer ``count * m + index_sum``;
+    ``m`` exceeds every index sum, so the integer fixes the count and, for
+    a lone survivor, its index.  ``classes`` maps that integer to the
+    survivor's index for one survivor, to n for no click (all n alive) and
+    to n + 1 for every other pattern.
+    """
+    m = n * (n - 1) // 2 + 1
+    weights = m + np.arange(n, dtype=float)
+    classes = np.full((n + 1) * m, n + 1, dtype=np.intp)
+    classes[m : m + n] = np.arange(n)
+    classes[n * m + m - 1] = n
+    return weights, classes
+
+
 def _measurement_stream(seed: int) -> np.random.SeedSequence:
     meas, _, _ = np.random.SeedSequence(seed).spawn(3)
     return meas
@@ -214,32 +253,37 @@ def _measurement_stream(seed: int) -> np.random.SeedSequence:
 
 def _chunk_counts(
     bounds: tuple[int, int],
-    meas_ss: np.random.SeedSequence,
     matrix: np.ndarray,
+    meas_ss: np.random.SeedSequence,
     cdf: np.ndarray,
+    truth: int | None,
     stride: int,
+    weights: np.ndarray,
+    classes: np.ndarray,
 ) -> Counts:
     start, stop = bounds
     n = matrix.shape[0]
     bg = np.random.Philox(meas_ss)
     bg.advance(start * (stride // _DRAWS_PER_COUNTER_STEP))
     u = np.random.Generator(bg).random((stop - start) * stride).reshape(-1, stride)
-    truth = np.searchsorted(cdf, u[:, 0], side="right")
-    clicks = u[:, 1 : 1 + n] < matrix[truth, :]
-    n_clicks = clicks.sum(axis=1)
-    no_click = n_clicks == 0
-    conclusive = n_clicks == n - 1
-    survivor = (n * (n - 1)) // 2 - clicks @ np.arange(n)
-    correct = conclusive & (survivor == truth)
-    erroneous = conclusive & (survivor != truth)
-    c_plus = np.bincount(truth[correct], minlength=n)
-    c_minus = np.bincount(truth[erroneous], minlength=n)
-    ambiguous = int(len(truth) - no_click.sum() - conclusive.sum())
+    if truth is None:
+        truth = np.searchsorted(cdf, u[:, 0], side="right")
+        alive = u[:, 1 : 1 + n] >= np.take(matrix, truth, axis=0)
+    else:
+        alive = u[:, 1 : 1 + n] >= matrix[truth]
+    del u
+    key = np.take(classes, (alive @ weights).astype(np.intp))
+    key += truth * (n + 2)
+    # Row t holds what truth t gave: survivor j in column j, then no click,
+    # then ambiguous.
+    table = np.bincount(key, minlength=n * (n + 2)).reshape(n, n + 2)
+    c_plus = table.diagonal()
+    c_minus = table[:, :n].sum(axis=1) - c_plus
     return Counts(
-        tuple(int(x) for x in c_plus),
-        tuple(int(x) for x in c_minus),
-        ambiguous,
-        int(no_click.sum()),
+        tuple(c_plus.tolist()),
+        tuple(c_minus.tolist()),
+        int(table[:, n + 1].sum()),
+        int(table[:, n].sum()),
         stop - start,
     )
 
@@ -279,28 +323,16 @@ def _run_block(
     cfg: ExperimentConfig,
     block_index: int,
     phases,
+    draw: partial,
     pool: ThreadPoolExecutor | None,
 ) -> Counts:
-    matrix = click_matrix(cfg, phases)
-    cdf = _prior_cdf(cfg.priors)
-    stride = _stride(cfg.n_states)
     base = block_index * cfg.trials_per_block
     bounds = [
         (base + lo, base + min(lo + _CHUNK, cfg.trials_per_block))
         for lo in range(0, cfg.trials_per_block, _CHUNK)
     ]
-    work = partial(
-        _chunk_counts,
-        meas_ss=_measurement_stream(cfg.seed),
-        matrix=matrix,
-        cdf=cdf,
-        stride=stride,
-    )
-    # A lone chunk runs inline: handing it to a thread only adds latency.
-    if pool is None or len(bounds) == 1:
-        parts = map(work, bounds)
-    else:
-        parts = pool.map(work, bounds)
+    work = partial(draw, matrix=click_matrix(cfg, phases))
+    parts = map(work, bounds) if pool is None else pool.map(work, bounds)
     total = Counts.zero(cfg.n_states)
     for part in parts:
         total = total + part
@@ -344,22 +376,37 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all blocks of one experiment.
 
     ``workers`` only shards each block's trial range over threads; the
-    counts are identical for every worker count.
+    counts are identical for every worker count.  No more threads start
+    than a block has chunks or the machine has cores.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     n = cfg.n_states
     root = np.random.SeedSequence(cfg.seed)
-    _, drift_ss, stab_ss = root.spawn(3)
+    meas_ss, drift_ss, stab_ss = root.spawn(3)
     drift_rng = np.random.Generator(np.random.Philox(drift_ss))
     stab_rng = np.random.Generator(np.random.Philox(stab_ss))
     probes = _probe_models(cfg) if cfg.stabilizer is not None and cfg.stabilizer.enabled else None
+    cdf = _prior_cdf(cfg.priors)
+    weights, classes = _class_table(n)
+    draw = partial(
+        _chunk_counts,
+        meas_ss=meas_ss,
+        cdf=cdf,
+        truth=_constant_truth(cdf),
+        stride=_stride(n),
+        weights=weights,
+        classes=classes,
+    )
 
     phases = np.zeros(n)
     history = np.empty((cfg.blocks, n), dtype=float)
     block_counts: list[Counts] = []
     probe_pulses = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    # More threads than chunks per block or than cores would only wait.
+    chunks = -(-cfg.trials_per_block // _CHUNK)
+    threads = min(workers, chunks, os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for b in range(cfg.blocks):
             if cfg.drift is not None:
@@ -368,7 +415,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
                 phases, used = stabilize(phases, cfg.stabilizer, probes, stab_rng)
                 probe_pulses += used
             history[b] = phases
-            block_counts.append(_run_block(cfg, b, phases, pool))
+            block_counts.append(_run_block(cfg, b, phases, draw, pool))
     finally:
         if pool is not None:
             pool.shutdown()

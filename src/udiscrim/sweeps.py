@@ -29,6 +29,14 @@ from .optics import ComplexAmplitude, from_intensity_phase
 
 SWEEP_VARIABLES = ("phase_difference", "intensity", "intensity_ratio", "n_states")
 
+# Grid caps, checked before anything is allocated.  A run at either cap
+# already takes hours; beyond them the grid alone could exhaust memory.  At
+# n states every trial draws n + 1 numbers, so a 65536-trial chunk at
+# MAX_STATES holds ~36 MB of draws, and each block's click matrix costs
+# n(3n - 1) beam-splitter evaluations.
+MAX_POINTS = 100_000
+MAX_STATES = 64
+
 RESULT_COLUMNS = (
     "x",
     "p_plus_1",
@@ -71,8 +79,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if self.points < 2:
-            raise ValueError(f"need at least 2 points, got {self.points}")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise ValueError(f"need 2 to {MAX_POINTS} points, got {self.points}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("sweep range must be finite")
 

@@ -8,6 +8,7 @@ import pytest
 
 import udiscrim
 from udiscrim import cli
+from udiscrim.sweeps import MAX_POINTS, MAX_STATES
 
 FAST = ["--trials", "400", "--blocks", "2", "--dark", "0", "--vis1", "1", "--vis2", "1"]
 
@@ -145,6 +146,25 @@ class TestFailureModes:
 
     def test_bad_n_is_usage_error(self, tmp_path):
         assert run(["nstate", "--n", "1", "--out", tmp_path / "x.csv", *FAST]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep-phase", "--points", "1000000000000"],
+            ["sweep-intensity", "--points", MAX_POINTS + 1],
+            ["nstate", "--n", "1000000000000"],
+            ["nstate", "--n", MAX_STATES + 1],
+        ],
+    )
+    def test_huge_grid_is_usage_error(self, monkeypatch, tmp_path, args):
+        # The caps must fire before anything is built: the sweeps that would
+        # allocate the grid or the programs are replaced by tripwires.
+        def tripwire(*_args, **_kwargs):
+            pytest.fail("grid size reached a sweep unchecked")
+
+        for name in ("sweep_phase", "sweep_intensity", "nstate_report"):
+            monkeypatch.setattr(cli, name, tripwire)
+        assert run([*args, "--out", tmp_path / "x.csv", *FAST]) == 2
 
     def test_unwritable_path_is_io_error(self, tmp_path):
         out = tmp_path / "missing_dir" / "x.csv"

@@ -1,9 +1,11 @@
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from udiscrim import montecarlo
 from udiscrim.detection import DetectorModel, InterferenceModel
 from udiscrim.drift import DriftModel, StabilizerConfig
 from udiscrim.montecarlo import (
@@ -17,6 +19,7 @@ from udiscrim.montecarlo import (
 )
 from udiscrim.network import NStatePlan, OutcomeKind, SplitterPlan
 from udiscrim.optics import from_intensity_phase
+from udiscrim.sweeps import ring_programs
 
 P_ETA53_D2_4 = 0.5067142541534744  # 1 - exp(-0.53 * 4/3), frozen oracle
 
@@ -40,6 +43,35 @@ def base_config(**kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def ring_config(n, **kwargs):
+    """An n-state ring with darks and imperfect visibility, bright enough
+    that every outcome kind occurs; n = 2 keeps the two-state splitter plan."""
+    defaults = dict(
+        programs=ring_programs(n, 0.75 * n) if n > 2 else opposite_pair(),
+        plan=NStatePlan(n) if n > 2 else SplitterPlan(0.5),
+        detectors=(DetectorModel(0.53, 0.05),),
+        interference=(InterferenceModel(0.9),),
+    )
+    defaults.update(kwargs)
+    return base_config(**defaults)
+
+
+def replay_priors(n):
+    """Uniform, skewed, and one-hot on the first, middle and last state."""
+    skew = [2.0 ** -j for j in range(n)]
+    cases = {"uniform": None, "skewed": tuple(w / sum(skew) for w in skew)}
+    for k in sorted({0, n // 2, n - 1}):
+        cases[f"one-hot-{k}"] = tuple(float(j == k) for j in range(n))
+    return cases
+
+
+REPLAY_CASES = [
+    pytest.param(n, priors, id=f"n{n}-{name}")
+    for n in (2, 3, 8)
+    for name, priors in replay_priors(n).items()
+]
 
 
 class TestConfig:
@@ -75,13 +107,15 @@ class TestDeterminism:
         outcomes = {run_trial(cfg, i) for i in range(64)}
         assert len(outcomes) > 1
 
-    def test_run_trial_reproduces_engine_counts(self):
-        cfg = base_config(trials_per_block=400, blocks=1)
+    @pytest.mark.parametrize("n, priors", REPLAY_CASES)
+    def test_run_trial_reproduces_engine_counts(self, n, priors):
+        # Two blocks, so the replay also covers the block offset into the stream.
+        cfg = ring_config(n, priors=priors, trials_per_block=300, blocks=2)
         res = run_experiment(cfg)
         tally = {k: 0 for k in OutcomeKind}
-        plus = [0, 0]
-        minus = [0, 0]
-        for i in range(cfg.trials_per_block):
+        plus = [0] * n
+        minus = [0] * n
+        for i in range(cfg.total_trials):
             out = run_trial(cfg, i)
             tally[out.kind] += 1
             if out.kind is OutcomeKind.CORRECT:
@@ -93,6 +127,25 @@ class TestDeterminism:
         assert tally[OutcomeKind.NO_CLICK] == res.counts.no_clicks
         assert tally[OutcomeKind.MULTI_CLICK] == res.counts.double_clicks
 
+    @pytest.mark.parametrize(
+        "priors, truth",
+        [
+            ((1.0, 0.0), 0),
+            ((0.0, 1.0), 1),
+            ((0.0, 0.0, 1.0), 2),
+            ((1.0, 1e-10), 0),
+            ((1e-10, 1.0), None),
+            ((0.0, 1 - 5e-10, 5e-10), None),
+            ((0.5, 0.5), None),
+        ],
+    )
+    def test_constant_truth_rule(self, priors, truth):
+        cdf = montecarlo._prior_cdf(priors)
+        assert montecarlo._constant_truth(cdf) == truth
+        # The rule agrees with the search it replaces at both ends of [0, 1).
+        ends = np.searchsorted(cdf, [0.0, np.nextafter(1.0, 0.0)], side="right")
+        assert (ends[0] == ends[1] == truth) or (truth is None and ends[0] != ends[1])
+
     def test_rerun_and_worker_invariance(self):
         cfg = base_config()
         first = run_experiment(cfg)
@@ -100,6 +153,27 @@ class TestDeterminism:
         sharded = run_experiment(cfg, workers=8)
         assert first.counts == again.counts == sharded.counts
         assert first.block_counts == sharded.block_counts
+
+    @pytest.mark.parametrize(
+        "trials, cores, sizes",
+        [(70_000, 64, [2]), (70_000, 1, []), (65_536, 64, [])],
+    )
+    def test_pool_is_sized_from_the_work(self, monkeypatch, trials, cores, sizes):
+        # A huge worker count starts no more threads than a block has chunks
+        # or the machine has cores, and blocks of one chunk build no pool.
+        built = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        cfg = base_config(trials_per_block=trials, blocks=1)
+        res = run_experiment(cfg, workers=4096)
+        assert built == sizes
+        assert res.counts == run_experiment(cfg).counts
 
     def test_seed_changes_results(self):
         a = run_experiment(base_config(seed=1))

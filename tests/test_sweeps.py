@@ -7,6 +7,7 @@ from udiscrim.detection import DetectorModel, analytic_nstate_success
 from udiscrim.montecarlo import binomial_stderr
 from udiscrim.network import NStatePlan
 from udiscrim.sweeps import (
+    MAX_POINTS,
     NSTATE_COLUMNS,
     RESULT_COLUMNS,
     ScenarioParams,
@@ -45,6 +46,12 @@ class TestSweepSpec:
             SweepSpec("phase_difference", 0.0, math.inf, 5)
         with pytest.raises(ValueError):
             SweepSpec("frequency", 0.0, 1.0, 5)
+
+    def test_points_are_capped_before_the_grid_is_built(self):
+        assert len(SweepSpec("intensity", 0.0, 1.0, MAX_POINTS).grid()) == MAX_POINTS
+        for points in (MAX_POINTS + 1, 10**12):
+            with pytest.raises(ValueError, match="points"):
+                SweepSpec("intensity", 0.0, 1.0, points)
 
     def test_grid(self):
         spec = SweepSpec("intensity", 0.0, 3.0, 4)
