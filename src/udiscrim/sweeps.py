@@ -29,11 +29,10 @@ from .optics import ComplexAmplitude, from_intensity_phase
 
 SWEEP_VARIABLES = ("phase_difference", "intensity", "intensity_ratio", "n_states")
 
-# Grid caps, checked before anything is allocated.  A run at either cap
-# already takes hours; beyond them the grid alone could exhaust memory.  At
-# n states every trial draws n + 1 numbers, so a 65536-trial chunk at
-# MAX_STATES holds ~36 MB of draws, and each block's click matrix costs
-# n(3n - 1) beam-splitter evaluations.
+# Grid caps, checked before anything is allocated.  Every sweep point runs
+# at least two experiments.  At n states every trial draws n + 1 numbers, so
+# a 65536-trial chunk at MAX_STATES holds ~36 MB of draws, and each block's
+# click matrix costs n(3n - 1) beam-splitter evaluations.
 MAX_POINTS = 100_000
 MAX_STATES = 64
 
