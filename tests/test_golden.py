@@ -53,6 +53,24 @@ CASES = {
          "--trials", "70000", "--blocks", "2", "--seed", "5"],
         {"out.csv": "a3d97501075ac6f568bff10d94179a3d17e9cbfb92429b17a4ea2ce93828bff4"},
     ),
+    # SVG titles print the table name, so the default sweep-phase run pins
+    # the _I<intensity> tag of each of its three tables.
+    "sweep-phase-svg": (
+        ["sweep-phase", "--points", "4", "--format", "svg", *SMALL],
+        {
+            "out_I0.25.svg": "ba63ec4ed781a258f30eec22b6fabdd273e8be4b20373dd33ae43262a787dd96",
+            "out_I0.5.svg": "d478065ece838b14e8520252a271edfb91846c9d21c166bd1d33a085abb86125",
+            "out_I1.svg": "a36736a331acb8af5b0e02737687f7f455965ffbcbe158891d2548fb7dbd6a28",
+        },
+    ),
+    "sweep-intensity-svg": (
+        ["sweep-intensity", "--points", "4", "--format", "svg", *SMALL],
+        {"out.svg": "9687134f74b7c3143355cac90a155ee1360cdfbc4f44134562c8eae8f2101b88"},
+    ),
+    "sweep-ratio-svg": (
+        ["sweep-ratio", "--points", "4", "--format", "svg", *SMALL],
+        {"out.svg": "d5887b7075139d6c879f2cbabd4a8fc64b4934849facb2c73201a1ec77b46023"},
+    ),
     "nstate-svg": (
         ["nstate", "--n", "3", "--format", "svg", *SMALL],
         {"out.svg": "cb83050f48b689bec7b2ecff026a3c25408f70272c69edf7d686d52dc8c4fafd"},
