@@ -13,6 +13,7 @@ from udiscrim import (
     NStatePlan,
     ScenarioParams,
     analytic_nstate_success,
+    intensity,
     nstate_amplitudes,
     nstate_report,
     nstate_success_from_distances,
@@ -26,7 +27,7 @@ plan = NStatePlan(4)
 print("port intensities with the unknown equal to each of 4 ring states:")
 for k in range(4):
     ports = nstate_amplitudes(programs[k], programs, plan)
-    pretty = ", ".join(f"{x:.3f}" for x in ports.intensities())
+    pretty = ", ".join(f"{x:.3f}" for x in map(intensity, ports))
     print(f"  unknown = state {k + 1}: [{pretty}]")
 
 # Success at a fixed pairwise distance shrinks with n for two reasons:

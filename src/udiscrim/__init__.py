@@ -46,7 +46,6 @@ from .network import (
     BeamSplitter,
     NStatePlan,
     OutcomeKind,
-    PortAmplitudes,
     SplitterPlan,
     TrialOutcome,
     classify,
@@ -84,7 +83,6 @@ __all__ = [
     "NSTATE_COLUMNS",
     "NStatePlan",
     "OutcomeKind",
-    "PortAmplitudes",
     "ProbeModel",
     "RESULT_COLUMNS",
     "ScenarioParams",

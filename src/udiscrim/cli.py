@@ -3,7 +3,8 @@ discrimination curves as CSV tables or standalone SVG charts.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 runtime invariant
 violation.  A plain-text ``key=value`` file passed with ``--config``
-supplies defaults; explicit command-line flags win.
+supplies defaults; explicit command-line flags win.  Config values are
+typed and checked like the flags they stand for.
 """
 
 from __future__ import annotations
@@ -12,31 +13,51 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .montecarlo import InvariantViolation
 from .output import emit
-from .sweeps import (
-    MAX_STATES,
-    ScenarioParams,
-    SweepSpec,
-    Table,
-    nstate_report,
-    sweep_intensity,
-    sweep_phase,
-    sweep_ratio,
-)
+from .sweeps import MAX_STATES, ScenarioParams, SweepSpec, Table
+from .sweeps import nstate_report, sweep_intensity, sweep_phase, sweep_ratio  # run by name
 
-_FIG3_INTENSITIES = (0.25, 0.5, 1.0)
 
-_X_LABELS = {
-    "sweep-phase": "phase difference (deg)",
-    "sweep-intensity": "mean photons per pulse",
-    "sweep-ratio": "intensity ratio",
-    "nstate": "hypothesis",
+class _Command(NamedTuple):
+    function: str  # name in this module, looked up at call time
+    help: str
+    x_label: str
+    grid: tuple[float, float, int] | None  # --start/--stop/--points defaults; None takes --n
+
+
+_COMMANDS = {
+    "sweep-phase": _Command("sweep_phase", "fractions vs phase difference",
+                            "phase difference (deg)", (0.0, 360.0, 25)),
+    "sweep-intensity": _Command("sweep_intensity", "conclusive fraction vs pulse intensity",
+                                "mean photons per pulse", (0.0, 3.0, 25)),
+    "sweep-ratio": _Command("sweep_ratio", "conclusive fraction vs intensity ratio",
+                            "intensity ratio", (0.0, 4.0, 21)),
+    "nstate": _Command("nstate_report", "per-hypothesis report for n program states",
+                       "hypothesis", None),
 }
 
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
+# Flags named after ScenarioParams fields; their defaults are ScenarioParams().
+_PARAM_FLAGS = {
+    "t0": "input splitter transmittance",
+    "eta1": "detector 1 quantum efficiency",
+    "eta2": "detector 2 quantum efficiency",
+    "dark": "mean dark counts per window",
+    "vis1": "loop 1 fringe visibility",
+    "vis2": "loop 2 fringe visibility",
+    "trials": "trials per block",
+    "blocks": "measurement blocks",
+    "seed": "experiment seed",
+    "drift_sigma": "phase drift in rad per sqrt(block)",
+    "stabilize": "run the active phase lock between blocks",
+}
+_DEFAULTS = ScenarioParams()
+_FORMATS = ("csv", "svg")
+_FIG3_INTENSITIES = (0.25, 0.5, 1.0)
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
 
 
 class _UsageError(Exception):
@@ -57,26 +78,28 @@ def _amplitude(text: str) -> tuple[float, float]:
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--t0", type=float, default=0.5, help="input splitter transmittance")
-    sp.add_argument("--eta1", type=float, default=0.53, help="detector 1 quantum efficiency")
-    sp.add_argument("--eta2", type=float, default=0.53, help="detector 2 quantum efficiency")
-    sp.add_argument("--dark", type=float, default=4e-7, help="mean dark counts per window")
-    sp.add_argument("--vis1", type=float, default=0.98, help="loop 1 fringe visibility")
-    sp.add_argument("--vis2", type=float, default=0.98, help="loop 2 fringe visibility")
-    sp.add_argument("--alpha1", type=_amplitude, default=None, metavar="N:DEG",
+    for name, text in _PARAM_FLAGS.items():
+        default = getattr(_DEFAULTS, name)
+        flag = "--" + name.replace("_", "-")
+        if isinstance(default, bool):
+            sp.add_argument(flag, action="store_true", default=default, help=text)
+        else:
+            sp.add_argument(flag, type=type(default), default=default, help=text)
+    sp.add_argument("--alpha1", type=_amplitude, metavar="N:DEG",
                     help="program state 1 as mean-photons:phase-degrees")
-    sp.add_argument("--alpha2", type=_amplitude, default=None, metavar="N:DEG",
+    sp.add_argument("--alpha2", type=_amplitude, metavar="N:DEG",
                     help="program state 2 as mean-photons:phase-degrees")
-    sp.add_argument("--trials", type=int, default=100_000, help="trials per block")
-    sp.add_argument("--blocks", type=int, default=10, help="measurement blocks")
-    sp.add_argument("--seed", type=int, default=1, help="experiment seed")
-    sp.add_argument("--out", type=Path, default=None, help="output file path")
-    sp.add_argument("--format", choices=("csv", "svg"), default="csv")
-    sp.add_argument("--drift-sigma", type=float, default=0.0,
-                    help="phase drift in rad per sqrt(block)")
-    sp.add_argument("--stabilize", action="store_true",
-                    help="run the active phase lock between blocks")
+    sp.add_argument("--out", type=Path, help="output file path")
+    sp.add_argument("--format", choices=_FORMATS, default=_FORMATS[0])
     sp.add_argument("--workers", type=int, default=1, help="trial-sharding threads")
+
+
+def _config_parser() -> argparse.ArgumentParser:
+    """Just ``--config``: finds the file before the subcommand parses, and
+    is the parent that gives the full parser the same flag."""
+    parser = argparse.ArgumentParser(prog="udiscrim", add_help=False)
+    parser.add_argument("--config", type=Path, help="key=value file with flag defaults")
+    return parser
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -84,47 +107,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         prog="udiscrim",
         description="Programmable unambiguous discriminator of coherent states: "
         "Monte Carlo sweeps and analytic curve tables.",
+        parents=[_config_parser()],
     )
-    parser.add_argument("--config", type=Path, default=None,
-                        help="key=value file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
-
-    sp = sub.add_parser("sweep-phase", help="fractions vs phase difference")
-    _add_common(sp)
-    sp.add_argument("--start", type=float, default=0.0, help="first phase (deg)")
-    sp.add_argument("--stop", type=float, default=360.0, help="last phase (deg)")
-    sp.add_argument("--points", type=int, default=25)
-    commands["sweep-phase"] = sp
-
-    sp = sub.add_parser("sweep-intensity", help="conclusive fraction vs pulse intensity")
-    _add_common(sp)
-    sp.add_argument("--start", type=float, default=0.0, help="first mean photon number")
-    sp.add_argument("--stop", type=float, default=3.0, help="last mean photon number")
-    sp.add_argument("--points", type=int, default=25)
-    commands["sweep-intensity"] = sp
-
-    sp = sub.add_parser("sweep-ratio", help="conclusive fraction vs intensity ratio")
-    _add_common(sp)
-    sp.add_argument("--start", type=float, default=0.0, help="first ratio")
-    sp.add_argument("--stop", type=float, default=4.0, help="last ratio")
-    sp.add_argument("--points", type=int, default=21)
-    commands["sweep-ratio"] = sp
-
-    sp = sub.add_parser("nstate", help="per-hypothesis report for n program states")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, default=3, help="number of program states")
-    commands["nstate"] = sp
-
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        _add_common(sp)
+        if command.grid is None:
+            sp.add_argument("--n", type=int, default=3, help="number of program states")
+        else:
+            start, stop, points = command.grid
+            sp.add_argument("--start", type=float, default=start, help=f"first {command.x_label}")
+            sp.add_argument("--stop", type=float, default=stop, help=f"last {command.x_label}")
+            sp.add_argument("--points", type=int, default=points)
+        commands[name] = sp
     return parser, commands
 
 
-def _read_config(path: Path) -> dict[str, object]:
+def _read_config(path: Path) -> dict[str, str]:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from exc
-    values: dict[str, object] = {}
+    values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,127 +142,81 @@ def _read_config(path: Path) -> dict[str, object]:
     return values
 
 
-def _apply_config(
-    commands: dict[str, argparse.ArgumentParser],
-    overrides: dict[str, object],
-) -> None:
-    """Turn config strings into typed defaults on every subcommand."""
-    seen: set[str] = set()
+def _apply_config(commands: dict[str, argparse.ArgumentParser], config: dict[str, str]) -> None:
+    """Install config strings as subcommand defaults and have argparse type
+    them, even where a flag will override them.  argparse neither converts
+    a store_true default nor checks one against ``choices``, so
+    ``stabilize`` and ``format`` are settled here."""
+    overrides: dict[str, object] = dict(config)
+    if "stabilize" in config:
+        if config["stabilize"].lower() not in _TRUE_WORDS + _FALSE_WORDS:
+            raise _UsageError(f"stabilize wants true/false, got {config['stabilize']!r}")
+        overrides["stabilize"] = config["stabilize"].lower() in _TRUE_WORDS
+    if config.get("format", _FORMATS[0]) not in _FORMATS:
+        raise _UsageError(f"format wants one of {', '.join(_FORMATS)}, got {config['format']!r}")
+    unknown = set(overrides)
     for sp in commands.values():
-        typed: dict[str, object] = {}
-        for action in sp._actions:  # noqa: SLF001 - argparse has no public action list
-            if action.dest not in overrides:
-                continue
-            seen.add(action.dest)
-            raw = overrides[action.dest]
-            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):  # noqa: SLF001
-                low = str(raw).lower()
-                if low in _TRUE_WORDS:
-                    typed[action.dest] = True
-                elif low in _FALSE_WORDS:
-                    typed[action.dest] = False
-                else:
-                    raise _UsageError(f"{action.dest} wants true/false, got {raw!r}")
-            elif action.type is not None:
-                typed[action.dest] = action.type(raw)
-            else:
-                typed[action.dest] = raw
-        sp.set_defaults(**typed)
-    unknown = set(overrides) - seen
+        dests = vars(sp.parse_args([]))  # every key this subcommand parses
+        sp.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
+        sp.parse_args([])  # a value that does not type exits 2 here
+        unknown -= dests.keys()
     if unknown:
         raise _UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
 def _params_from(args: argparse.Namespace) -> ScenarioParams:
-    alpha1 = args.alpha1 if args.alpha1 is not None else (1.0, 0.0)
-    alpha2 = args.alpha2 if args.alpha2 is not None else (alpha1[0], alpha1[1] + 180.0)
+    default1 = (_DEFAULTS.intensity1, _DEFAULTS.phase1_deg)
+    alpha1 = args.alpha1 if args.alpha1 is not None else default1
+    # Without --alpha2, state 2 is state 1 turned by the default phase difference.
+    turn = _DEFAULTS.phase2_deg - _DEFAULTS.phase1_deg
+    alpha2 = args.alpha2 if args.alpha2 is not None else (alpha1[0], alpha1[1] + turn)
     return ScenarioParams(
-        t0=args.t0,
-        eta1=args.eta1,
-        eta2=args.eta2,
-        dark=args.dark,
-        vis1=args.vis1,
-        vis2=args.vis2,
-        intensity1=alpha1[0],
-        phase1_deg=alpha1[1],
-        intensity2=alpha2[0],
-        phase2_deg=alpha2[1],
-        trials=args.trials,
-        blocks=args.blocks,
-        seed=args.seed,
-        drift_sigma=args.drift_sigma,
-        stabilize=args.stabilize,
+        **{name: getattr(args, name) for name in _PARAM_FLAGS},
+        intensity1=alpha1[0], phase1_deg=alpha1[1], intensity2=alpha2[0], phase2_deg=alpha2[1],
     )
 
 
-def _build_tables(args: argparse.Namespace) -> list[Table]:
-    if args.command == "sweep-phase":
-        spec = SweepSpec("phase_difference", args.start, args.stop, args.points)
-        if args.alpha1 is None and args.alpha2 is None:
-            # Representative weak-pulse intensities when none are requested.
-            tables = []
-            for intensity in _FIG3_INTENSITIES:
-                params = dataclasses.replace(
-                    _params_from(args), intensity1=intensity, intensity2=intensity
-                )
-                table = sweep_phase(spec, params, args.workers)
-                tables.append(Table(f"{table.name}_I{intensity:g}", table.columns, table.rows))
-            return tables
-        return [sweep_phase(spec, _params_from(args), args.workers)]
-    if args.command == "sweep-intensity":
-        spec = SweepSpec("intensity", args.start, args.stop, args.points)
-        return [sweep_intensity(spec, _params_from(args), args.workers)]
-    if args.command == "sweep-ratio":
-        spec = SweepSpec("intensity_ratio", args.start, args.stop, args.points)
-        params = _params_from(args)
-        if args.alpha1 is None:
-            # Reference first-state intensity of 1.33 photons per pulse.
-            params = dataclasses.replace(params, intensity1=1.33)
-        return [sweep_ratio(spec, params, args.workers)]
+def _build_tables(args: argparse.Namespace) -> list[tuple[Table, Path]]:
+    """Every table the command makes, each with its output path."""
+    run = globals()[_COMMANDS[args.command].function]
+    params = _params_from(args)
+    out = args.out or Path(f"{args.command.replace('-', '_')}.{args.format}")
     if args.command == "nstate":
         if not 2 <= args.n <= MAX_STATES:
             raise _UsageError(f"--n must lie in [2, {MAX_STATES}], got {args.n}")
-        return [nstate_report(args.n, _params_from(args), args.workers)]
-    raise _UsageError(f"unknown command {args.command!r}")
-
-
-def _output_paths(tables: list[Table], out: Path | None, fmt: str, command: str) -> list[Path]:
-    base = out if out is not None else Path(f"{command.replace('-', '_')}.{fmt}")
-    if len(tables) == 1:
-        return [base]
-    return [
-        base.with_name(f"{base.stem}_{t.name.rsplit('_', 1)[-1]}{base.suffix}")
-        for t in tables
-    ]
+        return [(run(args.n, params, args.workers), out)]
+    spec = SweepSpec(args.start, args.stop, args.points)
+    if args.command == "sweep-phase" and args.alpha1 is None and args.alpha2 is None:
+        # Representative weak-pulse intensities when none are requested.
+        tagged = []
+        for intensity in _FIG3_INTENSITIES:
+            each = dataclasses.replace(params, intensity1=intensity, intensity2=intensity)
+            table = run(spec, each, args.workers)
+            tag = f"I{intensity:g}"
+            named = dataclasses.replace(table, name=f"{table.name}_{tag}")
+            tagged.append((named, out.with_name(f"{out.stem}_{tag}{out.suffix}")))
+        return tagged
+    if args.command == "sweep-ratio" and args.alpha1 is None:
+        # Reference first-state intensity of 1.33 photons per pulse.
+        params = dataclasses.replace(params, intensity1=1.33)
+    return [(run(spec, params, args.workers), out)]
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        config_path = _pre_scan_config(argv)
-        if config_path is not None:
-            _apply_config(commands, _read_config(config_path))
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code) if exc.code else 0
-        if args.trials < 1 or args.blocks < 1:
-            raise _UsageError("--trials and --blocks must be >= 1")
-        if args.workers < 1:
-            raise _UsageError("--workers must be >= 1")
-        tables = _build_tables(args)
-    except (_UsageError, ValueError, argparse.ArgumentTypeError) as exc:
+        config = _config_parser().parse_known_args(argv)[0].config
+        if config is not None:
+            _apply_config(commands, _read_config(config))
+        args = parser.parse_args(argv)
+        for table, path in _build_tables(args):
+            emit(table, path, args.format, x_label=_COMMANDS[args.command].x_label)
+            print(path)
+    except SystemExit as exc:  # argparse has printed help or a usage error
+        return int(exc.code) if exc.code else 0
+    except (_UsageError, ValueError) as exc:
         print(f"udiscrim: error: {exc}", file=sys.stderr)
         return 2
-    except InvariantViolation as exc:
-        print(f"udiscrim: invariant violation: {exc}", file=sys.stderr)
-        return 4
-    try:
-        paths = _output_paths(tables, args.out, args.format, args.command)
-        for table, path in zip(tables, paths, strict=True):
-            emit(table, path, args.format, x_label=_X_LABELS[args.command])
-            print(path)
     except OSError as exc:
         print(f"udiscrim: i/o error: {exc}", file=sys.stderr)
         return 3
@@ -264,19 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"udiscrim: invariant violation: {exc}", file=sys.stderr)
         return 4
     return 0
-
-
-def _pre_scan_config(argv: list[str]) -> Path | None:
-    """Find --config without a full parse so its defaults can be installed
-    before the subcommand parses."""
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise _UsageError("--config expects a file path")
-            return Path(argv[i + 1])
-        if token.startswith("--config="):
-            return Path(token.split("=", 1)[1])
-    return None
 
 
 def entry() -> None:

@@ -48,6 +48,12 @@ _CHUNK = 1 << 16
 # Philox advances its counter in blocks of four 64-bit draws.
 _DRAWS_PER_COUNTER_STEP = 4
 
+# Run-size caps, checked before anything is allocated.  A run keeps one
+# Counts and one row of phases per block, and a block lists its chunks
+# (~150 000 at the trials cap) before it draws.
+MAX_BLOCKS = 100_000
+MAX_TRIALS_PER_BLOCK = 10**10
+
 
 class InvariantViolation(RuntimeError):
     """A runtime bookkeeping invariant failed; results cannot be trusted."""
@@ -156,6 +162,11 @@ class ExperimentConfig:
                 raise ValueError("priors must be nonnegative and sum to 1")
         if self.trials_per_block < 1 or self.blocks < 1:
             raise ValueError("need at least one block of at least one trial")
+        if self.blocks > MAX_BLOCKS or self.trials_per_block > MAX_TRIALS_PER_BLOCK:
+            raise ValueError(
+                f"need at most {MAX_BLOCKS} blocks of at most {MAX_TRIALS_PER_BLOCK} trials, "
+                f"got {self.blocks} of {self.trials_per_block}"
+            )
 
     @property
     def n_states(self) -> int:

@@ -114,16 +114,6 @@ class NStatePlan:
 Plan = SplitterPlan | NStatePlan
 
 
-@dataclass(frozen=True)
-class PortAmplitudes:
-    """Field amplitudes incident on the detectors, one per program state."""
-
-    d: tuple[ComplexAmplitude, ...]
-
-    def intensities(self) -> tuple[float, ...]:
-        return tuple(a.real * a.real + a.imag * a.imag for a in self.d)
-
-
 def port_contributions(
     alpha_unknown: ComplexAmplitude,
     alpha_1: ComplexAmplitude,
@@ -163,7 +153,7 @@ def detector_amplitudes(
     alpha_2: ComplexAmplitude,
     plan: SplitterPlan,
     phase_errors: tuple[float, float] = (0.0, 0.0),
-) -> PortAmplitudes:
+) -> tuple[ComplexAmplitude, ...]:
     """Amplitudes at the two detector ports.
 
     Up to a global phase per port these equal
@@ -174,7 +164,7 @@ def detector_amplitudes(
     so port j is dark exactly when the unknown equals program j.
     """
     parts = port_contributions(alpha_unknown, alpha_1, alpha_2, plan, phase_errors)
-    return PortAmplitudes(tuple(u + p for u, p in parts))
+    return tuple(u + p for u, p in parts)
 
 
 def _equal_split_arms(alpha: ComplexAmplitude, n: int) -> list[ComplexAmplitude]:
@@ -224,7 +214,7 @@ def nstate_amplitudes(
     programs: list[ComplexAmplitude] | tuple[ComplexAmplitude, ...],
     plan: NStatePlan,
     phase_errors: tuple[float, ...] | None = None,
-) -> PortAmplitudes:
+) -> tuple[ComplexAmplitude, ...]:
     """Detector-port amplitudes of the n-state network.
 
     |d_j|^2 = |alpha_j - alpha_?|^2 / (n + 1); port j is dark exactly when
@@ -232,7 +222,7 @@ def nstate_amplitudes(
     the two-state plan at t0 = 1/2.
     """
     parts = nstate_port_contributions(alpha_unknown, programs, plan, phase_errors)
-    return PortAmplitudes(tuple(u + p for u, p in parts))
+    return tuple(u + p for u, p in parts)
 
 
 class OutcomeKind(Enum):

@@ -27,8 +27,6 @@ from .montecarlo import Counts, ExperimentConfig, fractions_from_blocks, run_exp
 from .network import NStatePlan, Plan, SplitterPlan
 from .optics import ComplexAmplitude, from_intensity_phase
 
-SWEEP_VARIABLES = ("phase_difference", "intensity", "intensity_ratio", "n_states")
-
 # Grid caps, checked before anything is allocated.  Every sweep point runs
 # at least two experiments.  At n states every trial draws n + 1 numbers, so
 # a 65536-trial chunk at MAX_STATES holds ~36 MB of draws, and each block's
@@ -68,16 +66,13 @@ NSTATE_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Which variable to sweep and over what grid."""
+    """A sweep grid: ``points`` evenly spaced values from ``start`` to ``stop``."""
 
-    variable: str
     start: float
     stop: float
     points: int
 
     def __post_init__(self) -> None:
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
         if not 2 <= self.points <= MAX_POINTS:
             raise ValueError(f"need 2 to {MAX_POINTS} points, got {self.points}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):

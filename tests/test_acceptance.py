@@ -67,8 +67,8 @@ def test_null_port_unambiguity():
         a1 = complex(rng.normal(), rng.normal())
         a2 = complex(rng.normal(), rng.normal())
         plan = SplitterPlan(t0)
-        worst = max(worst, abs(detector_amplitudes(a1, a1, a2, plan).d[0]))
-        worst = max(worst, abs(detector_amplitudes(a2, a1, a2, plan).d[1]))
+        worst = max(worst, abs(detector_amplitudes(a1, a1, a2, plan)[0]))
+        worst = max(worst, abs(detector_amplitudes(a2, a1, a2, plan)[1]))
     assert worst < 1e-12
 
     cfg = ExperimentConfig(
@@ -127,7 +127,7 @@ def test_success_probability_convergence():
 
 
 def test_intensity_curve():
-    spec = SweepSpec("intensity", 0.0, 3.0, 7)
+    spec = SweepSpec(0.0, 3.0, 7)
     params = ScenarioParams(dark=0.0, vis1=1.0, vis2=1.0, trials=50_000, blocks=4, seed=104)
     table = sweep_intensity(spec, params)
     idx = {c: i for i, c in enumerate(table.columns)}
@@ -151,7 +151,7 @@ def test_intensity_curve():
 
 
 def test_ratio_curve_geometry():
-    spec = SweepSpec("intensity_ratio", 0.0, 4.0, 9)
+    spec = SweepSpec(0.0, 4.0, 9)
     params = ScenarioParams(
         dark=0.0, vis1=1.0, vis2=1.0, intensity1=1.33, trials=50_000, blocks=4, seed=105
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import udiscrim
-from udiscrim import cli
+from udiscrim import cli, sweeps
 from udiscrim.sweeps import MAX_POINTS, MAX_STATES
 
 FAST = ["--trials", "400", "--blocks", "2", "--dark", "0", "--vis1", "1", "--vis2", "1"]
@@ -132,6 +132,29 @@ class TestConfigFile:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert run(["--config", tmp_path / "absent.cfg", "sweep-intensity"]) == 2
 
+    @pytest.mark.parametrize(
+        "line, args, code, err",
+        [
+            ("format=pdf", ["nstate", "--n", "2"], 2, "format"),
+            ("stabilize=maybe", ["nstate", "--n", "2"], 2, "stabilize"),
+            ("alpha1=banana", ["nstate", "--n", "2"], 2, "N:DEG"),
+            # A value is checked even where a flag overrides it (FAST sets --trials).
+            ("trials=1e5", ["nstate", "--n", "2"], 2, "trials"),
+            ("n=banana", ["sweep-phase", "--points", "2", "--alpha1", "1:0"], 2, "--n"),
+            # A key that only another subcommand knows is accepted.
+            ("n=4", ["sweep-phase", "--points", "2", "--alpha1", "1:0"], 0, ""),
+        ],
+    )
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys, line, args, code, err):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "x.csv"
+        assert run(["--config", cfg, *args, "--out", out, *FAST]) == code
+        stderr = capsys.readouterr().err
+        assert err in stderr
+        assert "Traceback" not in stderr
+        assert out.exists() == (code == 0)
+
 
 class TestFailureModes:
     def test_bad_points_is_usage_error(self):
@@ -165,6 +188,17 @@ class TestFailureModes:
         for name in ("sweep_phase", "sweep_intensity", "nstate_report"):
             monkeypatch.setattr(cli, name, tripwire)
         assert run([*args, "--out", tmp_path / "x.csv", *FAST]) == 2
+
+    @pytest.mark.parametrize(
+        "size", [["--trials", "1", "--blocks", 10**12], ["--trials", 10**12, "--blocks", "1"]]
+    )
+    def test_huge_run_is_usage_error(self, monkeypatch, tmp_path, size):
+        # The caps must fire before any experiment allocates its blocks.
+        def tripwire(*_args, **_kwargs):
+            pytest.fail("run size reached an experiment unchecked")
+
+        monkeypatch.setattr(sweeps, "run_experiment", tripwire)
+        assert run(["nstate", "--n", "2", *size, "--out", tmp_path / "x.csv"]) == 2
 
     def test_unwritable_path_is_io_error(self, tmp_path):
         out = tmp_path / "missing_dir" / "x.csv"

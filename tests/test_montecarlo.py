@@ -94,6 +94,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             base_config(plan=NStatePlan(3))
 
+    def test_run_size_is_capped_before_anything_is_allocated(self):
+        base_config(blocks=montecarlo.MAX_BLOCKS, trials_per_block=montecarlo.MAX_TRIALS_PER_BLOCK)
+        for kwargs in (
+            dict(blocks=montecarlo.MAX_BLOCKS + 1),
+            dict(blocks=10**12),
+            dict(trials_per_block=montecarlo.MAX_TRIALS_PER_BLOCK + 1),
+            dict(trials_per_block=10**12),
+        ):
+            with pytest.raises(ValueError, match="at most"):
+                base_config(**kwargs)
+
 
 class TestDeterminism:
     def test_same_trial_same_outcome(self):

@@ -7,7 +7,7 @@ from udiscrim.sweeps import ScenarioParams, SweepSpec, Table, nstate_report, swe
 
 
 def small_table():
-    spec = SweepSpec("intensity", 0.0, 2.0, 3)
+    spec = SweepSpec(0.0, 2.0, 3)
     params = ScenarioParams(dark=0.0, vis1=1.0, vis2=1.0, trials=500, blocks=2, seed=9)
     return sweep_intensity(spec, params)
 

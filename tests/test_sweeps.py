@@ -41,26 +41,24 @@ def column(table, name):
 class TestSweepSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SweepSpec("phase_difference", 0.0, 360.0, 1)
+            SweepSpec(0.0, 360.0, 1)
         with pytest.raises(ValueError):
-            SweepSpec("phase_difference", 0.0, math.inf, 5)
-        with pytest.raises(ValueError):
-            SweepSpec("frequency", 0.0, 1.0, 5)
+            SweepSpec(0.0, math.inf, 5)
 
     def test_points_are_capped_before_the_grid_is_built(self):
-        assert len(SweepSpec("intensity", 0.0, 1.0, MAX_POINTS).grid()) == MAX_POINTS
+        assert len(SweepSpec(0.0, 1.0, MAX_POINTS).grid()) == MAX_POINTS
         for points in (MAX_POINTS + 1, 10**12):
             with pytest.raises(ValueError, match="points"):
-                SweepSpec("intensity", 0.0, 1.0, points)
+                SweepSpec(0.0, 1.0, points)
 
     def test_grid(self):
-        spec = SweepSpec("intensity", 0.0, 3.0, 4)
+        spec = SweepSpec(0.0, 3.0, 4)
         assert np.allclose(spec.grid(), [0.0, 1.0, 2.0, 3.0])
 
 
 class TestSweepPhase:
     def test_table_layout_and_analytics(self):
-        spec = SweepSpec("phase_difference", 0.0, 360.0, 9)
+        spec = SweepSpec(0.0, 360.0, 9)
         table = sweep_phase(spec, fast_params())
         assert table.columns == RESULT_COLUMNS
         assert len(table.rows) == 9
@@ -77,7 +75,7 @@ class TestSweepPhase:
             assert left == pytest.approx(right, abs=1e-9)
 
     def test_monte_carlo_tracks_analytic(self):
-        spec = SweepSpec("phase_difference", 0.0, 360.0, 5)
+        spec = SweepSpec(0.0, 360.0, 5)
         params = fast_params(trials=20_000, blocks=5)
         table = sweep_phase(spec, params)
         n = params.trials * params.blocks
@@ -93,7 +91,7 @@ class TestSweepPhase:
             assert row_map["p_minus_2"] == 0.0
 
     def test_fractions_land_in_unit_interval(self):
-        spec = SweepSpec("phase_difference", 0.0, 360.0, 5)
+        spec = SweepSpec(0.0, 360.0, 5)
         table = sweep_phase(spec, fast_params())
         for name in table.columns[1:]:
             for v in column(table, name):
@@ -104,7 +102,7 @@ class TestSweepPhase:
 
 class TestSweepIntensity:
     def test_curves_follow_the_exponential_law(self):
-        spec = SweepSpec("intensity", 0.0, 3.0, 13)
+        spec = SweepSpec(0.0, 3.0, 13)
         table = sweep_intensity(spec, fast_params())
         xs = column(table, "x")
         measured = column(table, "analytic_p1")
@@ -117,7 +115,7 @@ class TestSweepIntensity:
         assert measured[0] == 0.0
 
     def test_reference_points(self):
-        spec = SweepSpec("intensity", 1.0, 2.0, 2)
+        spec = SweepSpec(1.0, 2.0, 2)
         table = sweep_intensity(spec, fast_params())
         row1 = dict(zip(table.columns, table.rows[0]))
         row2 = dict(zip(table.columns, table.rows[1]))
@@ -127,7 +125,7 @@ class TestSweepIntensity:
 
 class TestSweepRatio:
     def test_curve_geometry(self):
-        spec = SweepSpec("intensity_ratio", 0.0, 4.0, 17)
+        spec = SweepSpec(0.0, 4.0, 17)
         table = sweep_ratio(spec, fast_params(intensity1=1.33))
         xs = column(table, "x")
         opposite = column(table, "analytic_p1")
@@ -144,7 +142,7 @@ class TestSweepRatio:
             assert a > b
 
     def test_monte_carlo_tracks_both_curves(self):
-        spec = SweepSpec("intensity_ratio", 0.0, 4.0, 5)
+        spec = SweepSpec(0.0, 4.0, 5)
         params = fast_params(intensity1=1.33, trials=20_000, blocks=5)
         table = sweep_ratio(spec, params)
         n = params.trials * params.blocks
