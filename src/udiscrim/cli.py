@@ -21,24 +21,6 @@ from .sweeps import MAX_STATES, ScenarioParams, SweepSpec, Table
 from .sweeps import nstate_report, sweep_intensity, sweep_phase, sweep_ratio  # run by name
 
 
-class _Command(NamedTuple):
-    function: str  # name in this module, looked up at call time
-    help: str
-    x_label: str
-    grid: tuple[float, float, int] | None  # --start/--stop/--points defaults; None takes --n
-
-
-_COMMANDS = {
-    "sweep-phase": _Command("sweep_phase", "fractions vs phase difference",
-                            "phase difference (deg)", (0.0, 360.0, 25)),
-    "sweep-intensity": _Command("sweep_intensity", "conclusive fraction vs pulse intensity",
-                                "mean photons per pulse", (0.0, 3.0, 25)),
-    "sweep-ratio": _Command("sweep_ratio", "conclusive fraction vs intensity ratio",
-                            "intensity ratio", (0.0, 4.0, 21)),
-    "nstate": _Command("nstate_report", "per-hypothesis report for n program states",
-                       "hypothesis", None),
-}
-
 # Flags named after ScenarioParams fields; their defaults are ScenarioParams().
 _PARAM_FLAGS = {
     "t0": "input splitter transmittance",
@@ -53,6 +35,36 @@ _PARAM_FLAGS = {
     "drift_sigma": "phase drift in rad per sqrt(block)",
     "stabilize": "run the active phase lock between blocks",
 }
+_AMPLITUDE_FLAGS = {
+    "alpha1": "program state 1 as mean-photons:phase-degrees",
+    "alpha2": "program state 2 as mean-photons:phase-degrees",
+}
+_TWO_STATE_FLAGS = (*_PARAM_FLAGS, *_AMPLITUDE_FLAGS)
+
+
+class _Command(NamedTuple):
+    function: str  # name in this module, looked up at call time
+    help: str
+    x_label: str
+    grid: tuple[float, float, int] | None  # --start/--stop/--points defaults; None takes --n
+    flags: tuple[str, ...]  # the _PARAM_FLAGS and _AMPLITUDE_FLAGS the command reads
+
+
+_COMMANDS = {
+    "sweep-phase": _Command("sweep_phase", "fractions vs phase difference",
+                            "phase difference (deg)", (0.0, 360.0, 25), _TWO_STATE_FLAGS),
+    "sweep-intensity": _Command("sweep_intensity", "conclusive fraction vs pulse intensity",
+                                "mean photons per pulse", (0.0, 3.0, 25), _TWO_STATE_FLAGS),
+    # The state-2 amplitude is the swept ratio times state 1's, at 180 and 0 degrees.
+    "sweep-ratio": _Command("sweep_ratio", "conclusive fraction vs intensity ratio",
+                            "intensity ratio", (0.0, 4.0, 21), (*_PARAM_FLAGS, "alpha1")),
+    # Every port uses detector 1 and loop 1; the ring needs no input splitter.
+    "nstate": _Command("nstate_report", "per-hypothesis report for n program states",
+                       "hypothesis", None,
+                       ("eta1", "dark", "vis1", "trials", "blocks", "seed", "drift_sigma",
+                        "stabilize", "alpha1")),
+}
+
 _DEFAULTS = ScenarioParams()
 _FORMATS = ("csv", "svg")
 _FIG3_INTENSITIES = (0.25, 0.5, 1.0)
@@ -77,18 +89,17 @@ def _amplitude(text: str) -> tuple[float, float]:
     return n, deg
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    for name, text in _PARAM_FLAGS.items():
-        default = getattr(_DEFAULTS, name)
+def _add_common(sp: argparse.ArgumentParser, flags: tuple[str, ...]) -> None:
+    for name in flags:
         flag = "--" + name.replace("_", "-")
+        if name in _AMPLITUDE_FLAGS:
+            sp.add_argument(flag, type=_amplitude, metavar="N:DEG", help=_AMPLITUDE_FLAGS[name])
+            continue
+        default = getattr(_DEFAULTS, name)
         if isinstance(default, bool):
-            sp.add_argument(flag, action="store_true", default=default, help=text)
+            sp.add_argument(flag, action="store_true", default=default, help=_PARAM_FLAGS[name])
         else:
-            sp.add_argument(flag, type=type(default), default=default, help=text)
-    sp.add_argument("--alpha1", type=_amplitude, metavar="N:DEG",
-                    help="program state 1 as mean-photons:phase-degrees")
-    sp.add_argument("--alpha2", type=_amplitude, metavar="N:DEG",
-                    help="program state 2 as mean-photons:phase-degrees")
+            sp.add_argument(flag, type=type(default), default=default, help=_PARAM_FLAGS[name])
     sp.add_argument("--out", type=Path, help="output file path")
     sp.add_argument("--format", choices=_FORMATS, default=_FORMATS[0])
     sp.add_argument("--workers", type=int, default=1, help="trial-sharding threads")
@@ -113,7 +124,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     commands: dict[str, argparse.ArgumentParser] = {}
     for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
-        _add_common(sp)
+        _add_common(sp, command.flags)
         if command.grid is None:
             sp.add_argument("--n", type=int, default=3, help="number of program states")
         else:
@@ -165,13 +176,16 @@ def _apply_config(commands: dict[str, argparse.ArgumentParser], config: dict[str
 
 
 def _params_from(args: argparse.Namespace) -> ScenarioParams:
+    """ScenarioParams from the flags the command has; the rest keep their
+    defaults."""
+    given = vars(args)
     default1 = (_DEFAULTS.intensity1, _DEFAULTS.phase1_deg)
-    alpha1 = args.alpha1 if args.alpha1 is not None else default1
+    alpha1 = given.get("alpha1") or default1
     # Without --alpha2, state 2 is state 1 turned by the default phase difference.
     turn = _DEFAULTS.phase2_deg - _DEFAULTS.phase1_deg
-    alpha2 = args.alpha2 if args.alpha2 is not None else (alpha1[0], alpha1[1] + turn)
+    alpha2 = given.get("alpha2") or (alpha1[0], alpha1[1] + turn)
     return ScenarioParams(
-        **{name: getattr(args, name) for name in _PARAM_FLAGS},
+        **{name: given[name] for name in _PARAM_FLAGS if name in given},
         intensity1=alpha1[0], phase1_deg=alpha1[1], intensity2=alpha2[0], phase2_deg=alpha2[1],
     )
 

@@ -15,17 +15,26 @@ reproduces the parallel output exactly.
 The first draw of a trial picks the truth by a search in the prior CDF.
 When the CDF is 0 below some index k and at least 1 from k on, every draw
 in [0, 1) picks k, so the search is skipped; the draw is still consumed,
-so the stream layout does not depend on the priors.  A chunk of trials is
-then tallied in one pass: the 0/1 rows of hypotheses that no click
-excluded, times a weight vector, give exact integers that a lookup table
-turns into a class (the lone survivor's index, no click, or ambiguous),
-and one ``bincount`` over ``truth * (n + 2) + class`` yields every count.
+so the stream layout does not depend on the priors.  A slice of trials
+(see below) is then tallied in one pass: the 0/1 rows of hypotheses that
+no click excluded, times a weight vector, give exact integers that a
+lookup table turns into a class (the lone survivor's index, no click, or
+ambiguous), and one ``bincount`` over ``truth * (n + 2) + class`` yields
+every count.
+
+A block is cut into at most ``_CHUNK``-trial chunks of equal size, which
+worker threads share.  Each chunk is drawn and tallied in consecutive
+slices of about ``_SLICE_DRAWS`` draws that add into one table; they read
+the stream in order, so the counts do not depend on the slice size.  Each
+worker thread fills one slice-sized draw buffer, kept for the whole run, so
+its memory does not grow with the block size.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -45,12 +54,17 @@ from .network import (
 from .optics import ComplexAmplitude, intensity
 
 _CHUNK = 1 << 16
+# Draws per slice of a chunk (393 KB; 4096 trials at n = 8).  A budget in
+# draws, not trials, keeps the slice memory and the share of per-slice call
+# overhead the same at every n; 4096-trial slices ran n = 2 3-10 % slower.
+_SLICE_DRAWS = 12 << 12
 # Philox advances its counter in blocks of four 64-bit draws.
 _DRAWS_PER_COUNTER_STEP = 4
 
 # Run-size caps, checked before anything is allocated.  A run keeps one
 # Counts and one row of phases per block, and a block lists its chunks
-# (~150 000 at the trials cap) before it draws.
+# (~150 000 at the trials cap) before it draws; the draws themselves are
+# bounded by the slice size, not by the block.
 MAX_BLOCKS = 100_000
 MAX_TRIALS_PER_BLOCK = 10**10
 
@@ -271,23 +285,37 @@ def _chunk_counts(
     stride: int,
     weights: np.ndarray,
     classes: np.ndarray,
+    scratch: threading.local,
 ) -> Counts:
     start, stop = bounds
     n = matrix.shape[0]
     bg = np.random.Philox(meas_ss)
     bg.advance(start * (stride // _DRAWS_PER_COUNTER_STEP))
-    u = np.random.Generator(bg).random((stop - start) * stride).reshape(-1, stride)
-    if truth is None:
-        truth = np.searchsorted(cdf, u[:, 0], side="right")
-        alive = u[:, 1 : 1 + n] >= np.take(matrix, truth, axis=0)
-    else:
-        alive = u[:, 1 : 1 + n] >= matrix[truth]
-    del u
-    key = np.take(classes, (alive @ weights).astype(np.intp))
-    key += truth * (n + 2)
+    gen = np.random.Generator(bg)
+    step = max(1, _SLICE_DRAWS // stride)
+    # Each thread keeps one draw buffer for the whole run.  Freed per chunk
+    # or slice, the memory went back to the OS and was faulted in again,
+    # which slowed the one-worker two-state sweeps by 15-30 %.
+    size = min(step, stop - start)
+    draws = getattr(scratch, "draws", None)
+    if draws is None or len(draws) < size:
+        draws = scratch.draws = np.empty((size, stride))
+    table = None
+    for lo in range(start, stop, step):
+        u = gen.random(out=draws[: min(step, stop - lo)])
+        if truth is None:
+            t = np.searchsorted(cdf, u[:, 0], side="right")
+            alive = u[:, 1 : 1 + n] >= np.take(matrix, t, axis=0)
+        else:
+            t = truth
+            alive = u[:, 1 : 1 + n] >= matrix[truth]
+        key = np.take(classes, (alive @ weights).astype(np.intp))
+        key += t * (n + 2)
+        part = np.bincount(key, minlength=n * (n + 2))
+        table = part if table is None else np.add(table, part, out=table)
     # Row t holds what truth t gave: survivor j in column j, then no click,
     # then ambiguous.
-    table = np.bincount(key, minlength=n * (n + 2)).reshape(n, n + 2)
+    table = table.reshape(n, n + 2)
     c_plus = table.diagonal()
     c_minus = table[:, :n].sum(axis=1) - c_plus
     return Counts(
@@ -330,6 +358,15 @@ def _probe_models(cfg: ExperimentConfig) -> list[ProbeModel]:
     ]
 
 
+def _chunk_bounds(base: int, trials: int) -> list[tuple[int, int]]:
+    """``[base, base + trials)`` cut into the fewest chunks of at most
+    ``_CHUNK`` trials, their sizes differing by at most one, so that
+    threads sharing a block get equal work."""
+    chunks = -(-trials // _CHUNK)
+    edges = [base + i * trials // chunks for i in range(chunks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _run_block(
     cfg: ExperimentConfig,
     block_index: int,
@@ -337,11 +374,7 @@ def _run_block(
     draw: partial,
     pool: ThreadPoolExecutor | None,
 ) -> Counts:
-    base = block_index * cfg.trials_per_block
-    bounds = [
-        (base + lo, base + min(lo + _CHUNK, cfg.trials_per_block))
-        for lo in range(0, cfg.trials_per_block, _CHUNK)
-    ]
+    bounds = _chunk_bounds(block_index * cfg.trials_per_block, cfg.trials_per_block)
     work = partial(draw, matrix=click_matrix(cfg, phases))
     parts = map(work, bounds) if pool is None else pool.map(work, bounds)
     total = Counts.zero(cfg.n_states)
@@ -408,6 +441,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         stride=_stride(n),
         weights=weights,
         classes=classes,
+        scratch=threading.local(),
     )
 
     phases = np.zeros(n)

@@ -28,9 +28,10 @@ from .network import NStatePlan, Plan, SplitterPlan
 from .optics import ComplexAmplitude, from_intensity_phase
 
 # Grid caps, checked before anything is allocated.  Every sweep point runs
-# at least two experiments.  At n states every trial draws n + 1 numbers, so
-# a 65536-trial chunk at MAX_STATES holds ~36 MB of draws, and each block's
-# click matrix costs n(3n - 1) beam-splitter evaluations.
+# at least two experiments.  At n states every trial draws n + 1 numbers;
+# the kernel draws them in fixed 393 KB slices, so memory does not grow
+# with n, but each block's click matrix costs n(3n - 1) beam-splitter
+# evaluations.
 MAX_POINTS = 100_000
 MAX_STATES = 64
 

@@ -11,6 +11,12 @@ from udiscrim import cli, sweeps
 from udiscrim.sweeps import MAX_POINTS, MAX_STATES
 
 FAST = ["--trials", "400", "--blocks", "2", "--dark", "0", "--vis1", "1", "--vis2", "1"]
+# nstate has no loop 2: every port uses loop 1's visibility.
+NSTATE_FAST = ["--trials", "400", "--blocks", "2", "--dark", "0", "--vis1", "1"]
+
+
+def fast(command):
+    return NSTATE_FAST if command == "nstate" else FAST
 
 
 def run(args):
@@ -61,7 +67,7 @@ class TestHappyPaths:
 
     def test_nstate_report(self, tmp_path):
         out = tmp_path / "n.csv"
-        rc = run(["nstate", "--n", "4", "--out", out, *FAST])
+        rc = run(["nstate", "--n", "4", "--out", out, *NSTATE_FAST])
         assert rc == 0
         rows = read_rows(out)
         assert [row["k"] for row in rows] == [1.0, 2.0, 3.0, 4.0]
@@ -143,13 +149,15 @@ class TestConfigFile:
             ("n=banana", ["sweep-phase", "--points", "2", "--alpha1", "1:0"], 2, "--n"),
             # A key that only another subcommand knows is accepted.
             ("n=4", ["sweep-phase", "--points", "2", "--alpha1", "1:0"], 0, ""),
+            ("t0=0.4", ["nstate", "--n", "2"], 0, ""),
+            ("alpha2=1:90", ["nstate", "--n", "2"], 0, ""),
         ],
     )
     def test_config_values_are_checked_like_flags(self, tmp_path, capsys, line, args, code, err):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{line}\n")
         out = tmp_path / "x.csv"
-        assert run(["--config", cfg, *args, "--out", out, *FAST]) == code
+        assert run(["--config", cfg, *args, "--out", out, *fast(args[0])]) == code
         stderr = capsys.readouterr().err
         assert err in stderr
         assert "Traceback" not in stderr
@@ -168,7 +176,7 @@ class TestFailureModes:
         assert run(["sweep-phase", "--alpha1", "-1:0", *FAST]) == 2
 
     def test_bad_n_is_usage_error(self, tmp_path):
-        assert run(["nstate", "--n", "1", "--out", tmp_path / "x.csv", *FAST]) == 2
+        assert run(["nstate", "--n", "1", "--out", tmp_path / "x.csv", *NSTATE_FAST]) == 2
 
     @pytest.mark.parametrize(
         "args",
@@ -187,7 +195,7 @@ class TestFailureModes:
 
         for name in ("sweep_phase", "sweep_intensity", "nstate_report"):
             monkeypatch.setattr(cli, name, tripwire)
-        assert run([*args, "--out", tmp_path / "x.csv", *FAST]) == 2
+        assert run([*args, "--out", tmp_path / "x.csv", *fast(args[0])]) == 2
 
     @pytest.mark.parametrize(
         "size", [["--trials", "1", "--blocks", 10**12], ["--trials", 10**12, "--blocks", "1"]]
@@ -199,6 +207,25 @@ class TestFailureModes:
 
         monkeypatch.setattr(sweeps, "run_experiment", tripwire)
         assert run(["nstate", "--n", "2", *size, "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # nstate has no input splitter, no detector or loop 2 and
+            # builds its states from --alpha1 alone.
+            ["nstate", "--n", "2", "--t0", "1.5"],
+            ["nstate", "--n", "2", "--eta2", "7"],
+            ["nstate", "--n", "2", "--vis2", "-3"],
+            ["nstate", "--n", "2", "--alpha2", "1:0"],
+            # sweep-ratio derives state 2 from state 1 and the swept ratio.
+            ["sweep-ratio", "--points", "2", "--alpha2", "0.5:30"],
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert run([*args, "--out", out, *fast(args[0])]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_path_is_io_error(self, tmp_path):
         out = tmp_path / "missing_dir" / "x.csv"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -185,6 +186,58 @@ class TestDeterminism:
         res = run_experiment(cfg, workers=4096)
         assert built == sizes
         assert res.counts == run_experiment(cfg).counts
+
+    @pytest.mark.parametrize("trials", [1, 2, 4097, 65_536, 65_537, 100_000, 200_001, 10**10])
+    def test_chunks_tile_the_block_evenly(self, trials):
+        base = 3 * trials
+        bounds = montecarlo._chunk_bounds(base, trials)
+        assert len(bounds) == -(-trials // montecarlo._CHUNK)
+        edges = [lo for lo, _ in bounds] + [bounds[-1][1]]
+        assert edges[0] == base and edges[-1] == base + trials
+        assert [hi for _, hi in bounds] == edges[1:]
+        sizes = [hi - lo for lo, hi in bounds]
+        assert max(sizes) <= montecarlo._CHUNK
+        assert max(sizes) - min(sizes) <= 1
+
+    # 1 draw still slices one trial at a time; 84 and 11724 draws are 7 and
+    # 977 trials at n = 8, 21 and 2931 at n = 3, 10 and 1465 at n = 4.  At
+    # the default budget a chunk is one slice, and the draw buffer sized for
+    # the first chunk must grow for the second.
+    @pytest.mark.parametrize("slice_draws", [1, 84, 11724, montecarlo._SLICE_DRAWS])
+    @pytest.mark.parametrize(
+        "n, priors, drift",
+        [
+            pytest.param(8, None, None, id="n8-uniform"),
+            pytest.param(3, (0.6, 0.3, 0.1), DriftModel(0.2), id="n3-skewed-drift"),
+            pytest.param(4, (0.0, 0.0, 1.0, 0.0), None, id="n4-one-hot"),
+        ],
+    )
+    def test_slicing_never_moves_a_count(self, monkeypatch, slice_draws, n, priors, drift):
+        cfg = ring_config(n, priors=priors, drift=drift, trials_per_block=5001, blocks=2)
+        expected = run_experiment(cfg).block_counts
+        monkeypatch.setattr(montecarlo, "_SLICE_DRAWS", slice_draws)
+        # Each block runs as chunks of 2500 and 2501 trials, in that order on
+        # one thread, with a ragged last slice.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 2501)
+        assert run_experiment(cfg).block_counts == expected
+
+    def test_memory_does_not_grow_with_block_size(self):
+        def peak(trials, workers):
+            cfg = ring_config(8, trials_per_block=trials, blocks=2)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_experiment(ring_config(8, trials_per_block=1000, blocks=1), workers=2)  # warm-up
+        # A 2**14-trial block is one chunk, so it runs on one thread.
+        one_thread = peak(1 << 14, 1)
+        for workers in (1, 2):
+            # Blocks of four whole chunks: each thread holds one slice at a time.
+            assert peak(1 << 18, workers) <= 1.1 * workers * one_thread
+        assert peak(1 << 18, 2) < 5e6
 
     def test_seed_changes_results(self):
         a = run_experiment(base_config(seed=1))
