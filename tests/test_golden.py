@@ -8,18 +8,21 @@ against the same expected bytes.  A refactor that changes any digest has
 changed the simulator's output.
 
 The CLI only runs truth-conditioned (one-hot) priors, so the library cases
-pin the per-block counts of runs whose truth is drawn from the priors.
+pin the per-block counts of runs whose truth is drawn from the priors.  The
+click-matrix cases pin the click law itself, bit for bit, over seeded random
+networks.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from udiscrim import cli
 from udiscrim.detection import DetectorModel, InterferenceModel
 from udiscrim.drift import DriftModel
-from udiscrim.montecarlo import ExperimentConfig, run_experiment
-from udiscrim.network import NStatePlan
+from udiscrim.montecarlo import ExperimentConfig, click_matrix, run_experiment
+from udiscrim.network import NStatePlan, SplitterPlan
 from udiscrim.sweeps import ring_programs
 
 SMALL = ["--trials", "2000", "--blocks", "3", "--seed", "11"]
@@ -141,3 +144,88 @@ def test_library_block_counts_are_pinned(case, workers):
     kwargs, expected = LIBRARY_CASES[case]
     res = run_experiment(ExperimentConfig(**kwargs), workers)
     assert _block_digest(res) == expected
+
+
+def _random_config(rng, n, plan):
+    return ExperimentConfig(
+        programs=tuple(complex(*rng.normal(size=2)) * rng.uniform(0.0, 2.0) for _ in range(n)),
+        plan=plan,
+        detectors=tuple(
+            DetectorModel(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1e-2)))
+            for _ in range(n)
+        ),
+        interference=tuple(InterferenceModel(float(rng.uniform(0.0, 1.0))) for _ in range(n)),
+    )
+
+
+# case -> (plan, seed, {phases: SHA-256 of the click matrices of five
+# seeded random configs, concatenated})
+MATRIX_CASES = {
+    "n2-t0=0.1": (
+        SplitterPlan(0.1), 1,
+        {
+            "zero": "c051d9ee353869b920d658352e27d74938b4512b6d381ae96a1c581100d8f3a8",
+            "random": "943830e4b21cc4109be60098ceb37775f50148e6f0d7635e9ec5dcfdfcf53192",
+        },
+    ),
+    "n2-t0=0.3": (
+        SplitterPlan(0.3), 2,
+        {
+            "zero": "03fe93488179f2fe345a020dda830804fe5921cb574e7f28f5101e3e690a90f5",
+            "random": "4bd44b7a11f3a0e450523dbaf557651bd01e54780373b1df64662f9dfa187c71",
+        },
+    ),
+    "n2-t0=0.5": (
+        SplitterPlan(0.5), 3,
+        {
+            "zero": "7241b4e34822cea1657ca7988403200b42caa34f4a3650abad02e8f187bec695",
+            "random": "25e88c0cf60b257a31ca414435ec3eecae28478a2f9f637056d22f29dcfff71e",
+        },
+    ),
+    "n2-t0=0.77": (
+        SplitterPlan(0.77), 4,
+        {
+            "zero": "af79544b6deaf019f4128ef197aaaeabad0fd563a7aaa53a1e3f655fb53b122f",
+            "random": "234b6e4bacfe0aff25d8de8ebafd716c7eacf4bb5c5ecd865c2ec0a57021b072",
+        },
+    ),
+    "n2-nstate": (
+        NStatePlan(2), 5,
+        {
+            "zero": "4503d05e6fb36208a2eb8e326d77a606a2e4b5beca4fb95557720b75fe9b5421",
+            "random": "3ec98ce8a583c7a3ada9d7aa877bcbf76860e32c8ab5e6e8b59d618f20a4e447",
+        },
+    ),
+    "n3-nstate": (
+        NStatePlan(3), 6,
+        {
+            "zero": "61f66ef4aad0d96742eaa81b7b108e64884f8dc50291eeef737b4fa66c9c0a76",
+            "random": "7372794aefff676d8e4cf33347ef519712d3c7c709b1113aaf4d10127c4e9fbc",
+        },
+    ),
+    "n8-nstate": (
+        NStatePlan(8), 7,
+        {
+            "zero": "90322788657d9cdd27e91c95301b033972f9f2f1e70497392720868cc75add15",
+            "random": "dcf008cd45e2c49c5f924afce900109746d92ee66e98b985701bdb03c3bbd25c",
+        },
+    ),
+}
+
+
+def _matrix_digest(plan, seed, phases):
+    rng = np.random.default_rng(seed)
+    n = plan.n_ports
+    h = hashlib.sha256()
+    for _ in range(5):
+        cfg = _random_config(rng, n, plan)
+        phi = np.zeros(n) if phases == "zero" else rng.normal(0.0, 1.0, size=n)
+        h.update(click_matrix(cfg, phi).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("phases", ["zero", "random"])
+@pytest.mark.parametrize("case", sorted(MATRIX_CASES))
+def test_click_matrix_bytes_are_pinned(case, phases):
+    plan, seed, expected = MATRIX_CASES[case]
+    assert _matrix_digest(plan, seed, phases) == expected[phases]
