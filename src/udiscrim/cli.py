@@ -39,6 +39,7 @@ _AMPLITUDE_FLAGS = {
     "alpha1": "program state 1 as mean-photons:phase-degrees",
     "alpha2": "program state 2 as mean-photons:phase-degrees",
 }
+_AMPLITUDE_PARTS = ("intensity", "phase")
 _TWO_STATE_FLAGS = (*_PARAM_FLAGS, *_AMPLITUDE_FLAGS)
 
 
@@ -48,13 +49,19 @@ class _Command(NamedTuple):
     x_label: str
     grid: tuple[float, float, int] | None  # --start/--stop/--points defaults; None takes --n
     flags: tuple[str, ...]  # the _PARAM_FLAGS and _AMPLITUDE_FLAGS the command reads
+    # (amplitude flag, part) pairs that the sweep sets from x, ignoring the given part
+    swept: tuple[tuple[str, str], ...] = ()
 
 
 _COMMANDS = {
+    # State 2's phase is state 1's plus x.
     "sweep-phase": _Command("sweep_phase", "fractions vs phase difference",
-                            "phase difference (deg)", (0.0, 360.0, 25), _TWO_STATE_FLAGS),
+                            "phase difference (deg)", (0.0, 360.0, 25), _TWO_STATE_FLAGS,
+                            (("alpha2", "phase"),)),
+    # Both states carry x photons per pulse; their phases stay.
     "sweep-intensity": _Command("sweep_intensity", "conclusive fraction vs pulse intensity",
-                                "mean photons per pulse", (0.0, 3.0, 25), _TWO_STATE_FLAGS),
+                                "mean photons per pulse", (0.0, 3.0, 25), _TWO_STATE_FLAGS,
+                                (("alpha1", "intensity"), ("alpha2", "intensity"))),
     # The state-2 amplitude is the swept ratio times state 1's, at 180 and 0 degrees.
     "sweep-ratio": _Command("sweep_ratio", "conclusive fraction vs intensity ratio",
                             "intensity ratio", (0.0, 4.0, 21), (*_PARAM_FLAGS, "alpha1")),
@@ -76,12 +83,13 @@ class _UsageError(Exception):
     pass
 
 
-def _amplitude(text: str) -> tuple[float, float]:
-    """Parse ``n:deg`` into (mean photons per pulse, phase in degrees)."""
+def _amplitude(text: str) -> tuple[float, float | None]:
+    """Parse ``n:deg`` into (mean photons per pulse, phase in degrees); the
+    phase is None when ``:deg`` is left out and then means 0."""
     try:
         n_text, _, deg_text = str(text).partition(":")
         n = float(n_text)
-        deg = float(deg_text) if deg_text else 0.0
+        deg = float(deg_text) if deg_text else None
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected N:DEG, got {text!r}") from exc
     if n < 0.0:
@@ -89,11 +97,15 @@ def _amplitude(text: str) -> tuple[float, float]:
     return n, deg
 
 
-def _add_common(sp: argparse.ArgumentParser, flags: tuple[str, ...]) -> None:
-    for name in flags:
+def _add_common(sp: argparse.ArgumentParser, command: _Command) -> None:
+    swept = dict(command.swept)
+    for name in command.flags:
         flag = "--" + name.replace("_", "-")
         if name in _AMPLITUDE_FLAGS:
-            sp.add_argument(flag, type=_amplitude, metavar="N:DEG", help=_AMPLITUDE_FLAGS[name])
+            text = _AMPLITUDE_FLAGS[name]
+            if name in swept:
+                text += f"; the sweep sets its {swept[name]} from x and ignores the given one"
+            sp.add_argument(flag, type=_amplitude, metavar="N:DEG", help=text)
             continue
         default = getattr(_DEFAULTS, name)
         if isinstance(default, bool):
@@ -124,7 +136,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     commands: dict[str, argparse.ArgumentParser] = {}
     for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
-        _add_common(sp, command.flags)
+        _add_common(sp, command)
         if command.grid is None:
             sp.add_argument("--n", type=int, default=3, help="number of program states")
         else:
@@ -179,15 +191,26 @@ def _params_from(args: argparse.Namespace) -> ScenarioParams:
     """ScenarioParams from the flags the command has; the rest keep their
     defaults."""
     given = vars(args)
-    default1 = (_DEFAULTS.intensity1, _DEFAULTS.phase1_deg)
-    alpha1 = given.get("alpha1") or default1
+    intensity1, phase1 = given.get("alpha1") or (_DEFAULTS.intensity1, _DEFAULTS.phase1_deg)
+    phase1 = 0.0 if phase1 is None else phase1
     # Without --alpha2, state 2 is state 1 turned by the default phase difference.
     turn = _DEFAULTS.phase2_deg - _DEFAULTS.phase1_deg
-    alpha2 = given.get("alpha2") or (alpha1[0], alpha1[1] + turn)
+    intensity2, phase2 = given.get("alpha2") or (intensity1, phase1 + turn)
     return ScenarioParams(
         **{name: given[name] for name in _PARAM_FLAGS if name in given},
-        intensity1=alpha1[0], phase1_deg=alpha1[1], intensity2=alpha2[0], phase2_deg=alpha2[1],
+        intensity1=intensity1, phase1_deg=phase1,
+        intensity2=intensity2, phase2_deg=0.0 if phase2 is None else phase2,
     )
+
+
+def _ignored_parts(args: argparse.Namespace) -> list[str]:
+    """The given amplitude parts that the command's sweep replaces."""
+    return [
+        f"the {part} of --{flag}"
+        for flag, part in _COMMANDS[args.command].swept
+        if getattr(args, flag) is not None
+        and getattr(args, flag)[_AMPLITUDE_PARTS.index(part)] is not None
+    ]
 
 
 def _build_tables(args: argparse.Namespace) -> list[tuple[Table, Path]]:
@@ -223,6 +246,10 @@ def main(argv: list[str] | None = None) -> int:
         if config is not None:
             _apply_config(commands, _read_config(config))
         args = parser.parse_args(argv)
+        ignored = _ignored_parts(args)
+        if ignored:
+            print(f"udiscrim: warning: {args.command} ignores {' and '.join(ignored)}",
+                  file=sys.stderr)
         for table, path in _build_tables(args):
             emit(table, path, args.format, x_label=_COMMANDS[args.command].x_label)
             print(path)

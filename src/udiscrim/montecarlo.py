@@ -60,6 +60,8 @@ _CHUNK = 1 << 16
 _SLICE_DRAWS = 12 << 12
 # Philox advances its counter in blocks of four 64-bit draws.
 _DRAWS_PER_COUNTER_STEP = 4
+# Philox's 256-bit counter is set as four 64-bit words.
+_U64 = (1 << 64) - 1
 
 # Run-size caps, checked before anything is allocated.  A run keeps one
 # Counts and one row of phases per block, and a block lists its chunks
@@ -209,25 +211,23 @@ class ExperimentResult:
     probe_pulses: int = 0
 
 
-def _contribution_pairs(cfg: ExperimentConfig, true_index: int, phases) -> list:
-    alpha = cfg.programs[true_index]
-    if isinstance(cfg.plan, SplitterPlan):
-        return port_contributions(
-            alpha, cfg.programs[0], cfg.programs[1], cfg.plan, (phases[0], phases[1])
-        )
-    return nstate_port_contributions(alpha, cfg.programs, cfg.plan, tuple(phases))
-
-
 def click_matrix(cfg: ExperimentConfig, phases) -> np.ndarray:
     """Click probabilities P[k, j]: detector j firing when state k was sent."""
-    n = cfg.n_states
-    out = np.empty((n, n), dtype=float)
-    for k in range(n):
-        pairs = _contribution_pairs(cfg, k, phases)
-        for j, (u, p) in enumerate(pairs):
-            mean = port_mean_photons(u + p, intensity(u) + intensity(p), cfg.interference[j])
-            out[k, j] = click_probability(mean, cfg.detectors[j])
-    return out
+    # Python floats, since np.float64 arithmetic is slow in the per-port loops.
+    phases = tuple(float(p) for p in phases)
+    programs, plan = cfg.programs, cfg.plan
+    ports = tuple(zip(cfg.interference, cfg.detectors))
+    rows = []
+    for alpha in programs:
+        if isinstance(plan, SplitterPlan):
+            pairs = port_contributions(alpha, programs[0], programs[1], plan, phases)
+        else:
+            pairs = nstate_port_contributions(alpha, programs, plan, phases)
+        rows.append([
+            click_probability(port_mean_photons(u + p, intensity(u) + intensity(p), vis), det)
+            for (u, p), (vis, det) in zip(pairs, ports)
+        ])
+    return np.array(rows)
 
 
 def _stride(n_states: int) -> int:
@@ -276,6 +276,41 @@ def _measurement_stream(seed: int) -> np.random.SeedSequence:
     return meas
 
 
+def _kept(scratch: threading.local, name: str, size: int, dtype) -> np.ndarray:
+    """A flat buffer of at least ``size`` items that the thread keeps."""
+    buf = getattr(scratch, name, None)
+    if buf is None or len(buf) < size:
+        buf = np.empty(size, dtype)
+        setattr(scratch, name, buf)
+    return buf
+
+
+def _philox_at(
+    scratch: threading.local, meas_ss: np.random.SeedSequence, counter: int
+) -> np.random.Generator:
+    """The thread's kept measurement generator, moved to ``counter``.
+
+    A fresh ``Philox(meas_ss)`` starts at counter 0 with an empty buffer,
+    and ``advance(k)`` adds k to the counter and empties the buffer, so
+    setting the counter with the buffer empty gives exactly the stream of
+    a fresh generator advanced by k, without building one per chunk.
+    """
+    kept = getattr(scratch, "philox", None)
+    if kept is None or kept[0] is not meas_ss:
+        gen = np.random.Generator(np.random.Philox(meas_ss))
+        kept = scratch.philox = (meas_ss, gen, gen.bit_generator.state["state"]["key"].tolist())
+    _, gen, key = kept
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [(counter >> s) & _U64 for s in (0, 64, 128, 192)], "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": _DRAWS_PER_COUNTER_STEP,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def _chunk_counts(
     bounds: tuple[int, int],
     matrix: np.ndarray,
@@ -289,41 +324,61 @@ def _chunk_counts(
 ) -> Counts:
     start, stop = bounds
     n = matrix.shape[0]
-    bg = np.random.Philox(meas_ss)
-    bg.advance(start * (stride // _DRAWS_PER_COUNTER_STEP))
-    gen = np.random.Generator(bg)
+    gen = _philox_at(scratch, meas_ss, start * (stride // _DRAWS_PER_COUNTER_STEP))
     step = max(1, _SLICE_DRAWS // stride)
-    # Each thread keeps one draw buffer for the whole run.  Freed per chunk
-    # or slice, the memory went back to the OS and was faulted in again,
-    # which slowed the one-worker two-state sweeps by 15-30 %.
+    # Each thread keeps its buffers for the whole run.  Freed per chunk or
+    # slice, the memory went back to the OS and was faulted in again, which
+    # slowed the one-worker two-state sweeps by 15-30 %.
     size = min(step, stop - start)
-    draws = getattr(scratch, "draws", None)
-    if draws is None or len(draws) < size:
-        draws = scratch.draws = np.empty((size, stride))
+    draws = _kept(scratch, "draws", size * stride, float)
+    if truth is not None:
+        # A constant truth compares against one row, so the compare writes
+        # (n, slice) rows: much faster than the (slice, n) layout at n = 2.
+        alive_t = _kept(scratch, "alive_t", n * size, bool)
+        row = matrix[truth][:, None]
     table = None
     for lo in range(start, stop, step):
-        u = gen.random(out=draws[: min(step, stop - lo)])
+        m = min(step, stop - lo)
+        u = gen.random(out=draws[: m * stride].reshape(m, stride))
         if truth is None:
             t = np.searchsorted(cdf, u[:, 0], side="right")
             alive = u[:, 1 : 1 + n] >= np.take(matrix, t, axis=0)
+            key = np.take(classes, (alive @ weights).astype(np.intp))
         else:
             t = truth
-            alive = u[:, 1 : 1 + n] >= matrix[truth]
-        key = np.take(classes, (alive @ weights).astype(np.intp))
+            alive = np.greater_equal(u[:, 1 : 1 + n].T, row, out=alive_t[: n * m].reshape(n, m))
+            key = np.take(classes, (weights @ alive).astype(np.intp))
         key += t * (n + 2)
         part = np.bincount(key, minlength=n * (n + 2))
         table = part if table is None else np.add(table, part, out=table)
     # Row t holds what truth t gave: survivor j in column j, then no click,
     # then ambiguous.
-    table = table.reshape(n, n + 2)
-    c_plus = table.diagonal()
-    c_minus = table[:, :n].sum(axis=1) - c_plus
+    rows = table.reshape(n, n + 2).tolist()
     return Counts(
-        tuple(c_plus.tolist()),
-        tuple(c_minus.tolist()),
-        int(table[:, n + 1].sum()),
-        int(table[:, n].sum()),
+        tuple(r[t] for t, r in enumerate(rows)),
+        tuple(sum(r[:n]) - r[t] for t, r in enumerate(rows)),
+        sum(r[n + 1] for r in rows),
+        sum(r[n] for r in rows),
         stop - start,
+    )
+
+
+def _chunk_tally(
+    cfg: ExperimentConfig, meas_ss: np.random.SeedSequence, scratch: threading.local
+) -> partial:
+    """``_chunk_counts`` bound to everything of ``cfg`` that no block changes;
+    a block binds its click matrix."""
+    cdf = _prior_cdf(cfg.priors)
+    weights, classes = _class_table(cfg.n_states)
+    return partial(
+        _chunk_counts,
+        meas_ss=meas_ss,
+        cdf=cdf,
+        truth=_constant_truth(cdf),
+        stride=_stride(cfg.n_states),
+        weights=weights,
+        classes=classes,
+        scratch=scratch,
     )
 
 
@@ -377,7 +432,7 @@ def _run_block(
     bounds = _chunk_bounds(block_index * cfg.trials_per_block, cfg.trials_per_block)
     work = partial(draw, matrix=click_matrix(cfg, phases))
     parts = map(work, bounds) if pool is None else pool.map(work, bounds)
-    total = Counts.zero(cfg.n_states)
+    total = next(parts)
     for part in parts:
         total = total + part
     total.check()
@@ -431,18 +486,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     drift_rng = np.random.Generator(np.random.Philox(drift_ss))
     stab_rng = np.random.Generator(np.random.Philox(stab_ss))
     probes = _probe_models(cfg) if cfg.stabilizer is not None and cfg.stabilizer.enabled else None
-    cdf = _prior_cdf(cfg.priors)
-    weights, classes = _class_table(n)
-    draw = partial(
-        _chunk_counts,
-        meas_ss=meas_ss,
-        cdf=cdf,
-        truth=_constant_truth(cdf),
-        stride=_stride(n),
-        weights=weights,
-        classes=classes,
-        scratch=threading.local(),
-    )
+    draw = _chunk_tally(cfg, meas_ss, threading.local())
 
     phases = np.zeros(n)
     history = np.empty((cfg.blocks, n), dtype=float)

@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .optics import (
     BeamSplitter,
@@ -41,7 +42,8 @@ class SplitterPlan:
 
     Only the input transmittance ``t0`` is free; ``t1`` and ``t2`` are
     always derived from it so the difference form at both detector ports
-    holds for any choice of ``t0``.
+    holds for any choice of ``t0``.  The plan builds its three splitters
+    once and keeps them.
     """
 
     t0: float
@@ -67,6 +69,11 @@ class SplitterPlan:
     def n_ports(self) -> int:
         return 2
 
+    @cached_property
+    def splitters(self) -> tuple[BeamSplitter, BeamSplitter, BeamSplitter]:
+        """The input splitter and the splitters of loops 1 and 2."""
+        return BeamSplitter(self.t0), BeamSplitter(self.t1), BeamSplitter(self.t2)
+
     @property
     def couplings(self) -> tuple[float, float]:
         """Intensity share each interfering field keeps at ports 1 and 2,
@@ -85,6 +92,8 @@ class NStatePlan:
 
     The input splitter divides the unknown equally over n arms and each
     arm meets its program state on a splitter of transmittance n/(n+1).
+    The plan builds its n - 1 taps and its stage splitter once and keeps
+    them.
     """
 
     n: int
@@ -104,6 +113,17 @@ class NStatePlan:
     @property
     def n_ports(self) -> int:
         return self.n
+
+    @cached_property
+    def taps(self) -> tuple[BeamSplitter, ...]:
+        """The tap chain of the equal split: tap k keeps (n-k-1)/(n-k)."""
+        n = self.n
+        return tuple(BeamSplitter((n - k - 1) / (n - k)) for k in range(n - 1))
+
+    @cached_property
+    def stage(self) -> BeamSplitter:
+        """The splitter on which every arm meets its program state."""
+        return BeamSplitter(self.stage_transmittance)
 
     @property
     def couplings(self) -> tuple[float, ...]:
@@ -128,7 +148,7 @@ def port_contributions(
     visibility model needs.  ``phase_errors`` are extra phases picked up
     on the unknown's arm of each interferometer loop (drift).
     """
-    bs0 = BeamSplitter(plan.t0)
+    bs0, bs1, bs2 = plan.splitters
     u_to_1, u_to_2 = bs_transform(alpha_unknown, 0j, bs0)
     u_to_1 *= _TRIM
     if phase_errors[0] != 0.0:
@@ -136,8 +156,6 @@ def port_contributions(
     if phase_errors[1] != 0.0:
         u_to_2 = apply_phase(u_to_2, phase_errors[1])
 
-    bs1 = BeamSplitter(plan.t1)
-    bs2 = BeamSplitter(plan.t2)
     # Loop 1: unknown transmitted into D1, program 1 reflected into D1.
     d1_u, _ = bs_transform(u_to_1, 0j, bs1)
     d1_p, _ = bs_transform(0j, alpha_1, bs1)
@@ -167,7 +185,9 @@ def detector_amplitudes(
     return tuple(u + p for u, p in parts)
 
 
-def _equal_split_arms(alpha: ComplexAmplitude, n: int) -> list[ComplexAmplitude]:
+def _equal_split_arms(
+    alpha: ComplexAmplitude, taps: tuple[BeamSplitter, ...]
+) -> list[ComplexAmplitude]:
     """Split ``alpha`` into n arms of equal intensity via a tap chain.
 
     A cascade of n-1 two-port splitters peels off 1/n of the original
@@ -176,9 +196,8 @@ def _equal_split_arms(alpha: ComplexAmplitude, n: int) -> list[ComplexAmplitude]
     """
     arms: list[ComplexAmplitude] = []
     carry = alpha + 0j
-    for k in range(n - 1):
-        stage = BeamSplitter((n - k - 1) / (n - k))
-        carry, tapped = bs_transform(carry, 0j, stage)
+    for tap in taps:
+        carry, tapped = bs_transform(carry, 0j, tap)
         arms.append(tapped * -1.0)
     arms.append(carry * _TRIM)
     return arms
@@ -196,8 +215,8 @@ def nstate_port_contributions(
         raise ValueError(f"expected {n} program states, got {len(programs)}")
     if phase_errors is not None and len(phase_errors) != n:
         raise ValueError(f"expected {n} phase errors, got {len(phase_errors)}")
-    arms = _equal_split_arms(alpha_unknown, n)
-    stage = BeamSplitter(plan.stage_transmittance)
+    arms = _equal_split_arms(alpha_unknown, plan.taps)
+    stage = plan.stage
     out: list[tuple[ComplexAmplitude, ComplexAmplitude]] = []
     for j in range(n):
         arm = arms[j]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 ComplexAmplitude = complex
 
@@ -19,13 +19,18 @@ class BeamSplitter:
     """Lossless two-port splitter with intensity transmittance in [0, 1].
 
     Reflectance is always 1 - transmittance, so every instance is unitary.
+    The amplitude coefficients sqrt(T) and sqrt(1 - T) are computed once.
     """
 
     transmittance: float
+    sqrt_t: float = field(init=False, repr=False, compare=False)
+    sqrt_r: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.transmittance <= 1.0) or math.isnan(self.transmittance):
             raise ValueError(f"transmittance must lie in [0, 1], got {self.transmittance}")
+        object.__setattr__(self, "sqrt_t", math.sqrt(self.transmittance))
+        object.__setattr__(self, "sqrt_r", math.sqrt(1.0 - self.transmittance))
 
     @property
     def reflectance(self) -> float:
@@ -53,8 +58,8 @@ def bs_transform(
     """
     if not isinstance(bs, BeamSplitter):
         bs = BeamSplitter(bs)
-    st = math.sqrt(bs.transmittance)
-    sr = math.sqrt(bs.reflectance)
+    st = bs.sqrt_t
+    sr = bs.sqrt_r
     a_out = st * a_in + 1j * (sr * b_in)
     b_out = 1j * (sr * a_in) + st * b_in
     return a_out, b_out

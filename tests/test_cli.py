@@ -56,6 +56,51 @@ class TestHappyPaths:
         assert rc == 0
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "args, ignored",
+        [
+            pytest.param(["sweep-phase", "--alpha2", "0.7:100"], "the phase of --alpha2",
+                         id="phase-of-alpha2"),
+            pytest.param(["sweep-phase", "--alpha1", "1.2:10", "--alpha2", "0.7:0"],
+                         "the phase of --alpha2", id="zero-phase-of-alpha2"),
+            pytest.param(["sweep-intensity", "--alpha1", "0.3:0"], "the intensity of --alpha1",
+                         id="intensity-of-alpha1"),
+            pytest.param(["sweep-intensity", "--alpha1", "0.3", "--alpha2", "2:90"],
+                         "the intensity of --alpha1 and the intensity of --alpha2",
+                         id="both-intensities"),
+            # A phase left out is not given, so nothing is ignored.
+            pytest.param(["sweep-phase", "--alpha2", "0.7"], None, id="alpha2-without-phase"),
+            pytest.param(["sweep-phase", "--alpha1", "1.2:10"], None, id="alpha1-only"),
+            pytest.param(["sweep-intensity"], None, id="no-alpha"),
+        ],
+    )
+    def test_ignored_amplitude_part_is_named(self, tmp_path, capsys, args, ignored):
+        rc = run([*args, "--points", "2", "--out", tmp_path / "x.csv", *FAST])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err == ("" if ignored is None else f"udiscrim: warning: {args[0]} ignores {ignored}\n")
+
+    def test_ignored_amplitude_part_from_config_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha2=0.7:100\n")
+        rc = run(["--config", cfg, "sweep-phase", "--points", "2", "--out", tmp_path / "x.csv",
+                  *FAST])
+        assert rc == 0
+        assert "ignores the phase of --alpha2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("sweep-phase", "--alpha2 N:DEG program state 2 as mean-photons:phase-degrees; "
+                            "the sweep sets its phase from x"),
+            ("sweep-intensity", "--alpha1 N:DEG program state 1 as mean-photons:phase-degrees; "
+                                "the sweep sets its intensity from x"),
+        ],
+    )
+    def test_help_says_which_part_the_sweep_sets(self, capsys, command, text):
+        assert run([command, "--help"]) == 0
+        assert text in " ".join(capsys.readouterr().out.split())
+
     def test_ratio_sweep_defaults_to_reference_intensity(self, tmp_path):
         out = tmp_path / "ratio.csv"
         rc = run(["sweep-ratio", "--points", "2", "--start", "0", "--stop", "1",

@@ -14,6 +14,7 @@ networks.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from udiscrim.detection import DetectorModel, InterferenceModel
 from udiscrim.drift import DriftModel
 from udiscrim.montecarlo import ExperimentConfig, click_matrix, run_experiment
 from udiscrim.network import NStatePlan, SplitterPlan
+from udiscrim.optics import BeamSplitter
 from udiscrim.sweeps import ring_programs
 
 SMALL = ["--trials", "2000", "--blocks", "3", "--seed", "11"]
@@ -229,3 +231,9 @@ def _matrix_digest(plan, seed, phases):
 def test_click_matrix_bytes_are_pinned(case, phases):
     plan, seed, expected = MATRIX_CASES[case]
     assert _matrix_digest(plan, seed, phases) == expected[phases]
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-300, 0.1, 1 / 3, 0.5, 0.77, 8 / 9, 1.0])
+def test_splitter_stores_its_coefficients(t):
+    bs = BeamSplitter(t)
+    assert (bs.sqrt_t, bs.sqrt_r) == (math.sqrt(t), math.sqrt(1.0 - t))

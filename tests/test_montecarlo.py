@@ -1,7 +1,9 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -200,9 +202,9 @@ class TestDeterminism:
         assert max(sizes) - min(sizes) <= 1
 
     # 1 draw still slices one trial at a time; 84 and 11724 draws are 7 and
-    # 977 trials at n = 8, 21 and 2931 at n = 3, 10 and 1465 at n = 4.  At
-    # the default budget a chunk is one slice, and the draw buffer sized for
-    # the first chunk must grow for the second.
+    # 977 trials at n = 8, 21 and 2931 at n = 3 and at n = 2, 10 and 1465 at
+    # n = 4.  At the default budget a chunk is one slice, and the buffers
+    # sized for the first chunk must grow for the second.
     @pytest.mark.parametrize("slice_draws", [1, 84, 11724, montecarlo._SLICE_DRAWS])
     @pytest.mark.parametrize(
         "n, priors, drift",
@@ -210,6 +212,7 @@ class TestDeterminism:
             pytest.param(8, None, None, id="n8-uniform"),
             pytest.param(3, (0.6, 0.3, 0.1), DriftModel(0.2), id="n3-skewed-drift"),
             pytest.param(4, (0.0, 0.0, 1.0, 0.0), None, id="n4-one-hot"),
+            pytest.param(2, (0.0, 1.0), None, id="n2-one-hot"),
         ],
     )
     def test_slicing_never_moves_a_count(self, monkeypatch, slice_draws, n, priors, drift):
@@ -220,6 +223,49 @@ class TestDeterminism:
         # one thread, with a ragged last slice.
         monkeypatch.setattr(montecarlo, "_CHUNK", 2501)
         assert run_experiment(cfg).block_counts == expected
+
+    @pytest.mark.parametrize(
+        "n, priors",
+        [
+            pytest.param(8, None, id="n8-uniform"),
+            pytest.param(2, (0.0, 1.0), id="n2-one-hot"),
+            pytest.param(3, (1.0, 0.0, 0.0), id="n3-one-hot"),
+            pytest.param(8, (0.0,) * 5 + (1.0, 0.0, 0.0), id="n8-one-hot"),
+        ],
+    )
+    def test_kept_generator_matches_fresh_ones(self, monkeypatch, n, priors):
+        cfg = ring_config(n, priors=priors, seed=5)
+        # Another experiment with its own seed, stride and n shares the
+        # thread's scratch in between.
+        other = ring_config(5, seed=6)
+        phases = np.random.default_rng(n).normal(0.0, 0.3, size=n)
+
+        def tally(c, phases, scratch):
+            ss = montecarlo._measurement_stream(c.seed)
+            return partial(montecarlo._chunk_tally(c, ss, scratch), matrix=click_matrix(c, phases))
+
+        monkeypatch.setattr(montecarlo, "_CHUNK", 700)
+        # Block 1 of 2000-trial blocks, in chunks of 666 and 667 trials.
+        bounds = montecarlo._chunk_bounds(2000, 2000)
+        assert len(bounds) == 3
+
+        def fresh(scratch, meas_ss, counter):
+            bg = np.random.Philox(meas_ss)
+            bg.advance(counter)
+            return np.random.Generator(bg)
+
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_philox_at", fresh)
+            expected = [tally(cfg, phases, threading.local())(b) for b in bounds]
+            other_expected = [tally(other, np.zeros(5), threading.local())(b) for b in bounds]
+
+        scratch = threading.local()
+        kept, kept_other = tally(cfg, phases, scratch), tally(other, np.zeros(5), scratch)
+        assert [kept(b) for b in bounds] == expected
+        assert [kept(b) for b in reversed(bounds)] == expected[::-1]
+        mixed = [(kept(b), kept_other(o)) for b, o in zip(bounds, reversed(bounds))]
+        assert [a for a, _ in mixed] == expected
+        assert [o for _, o in mixed] == other_expected[::-1]
 
     def test_memory_does_not_grow_with_block_size(self):
         def peak(trials, workers):

@@ -46,6 +46,17 @@ class TestSplitterPlan:
             with pytest.raises(ValueError):
                 SplitterPlan(t0)
 
+    def test_plan_keeps_its_splitters(self):
+        plan = SplitterPlan(0.3)
+        assert plan.splitters is plan.splitters
+        assert [bs.transmittance for bs in plan.splitters] == [plan.t0, plan.t1, plan.t2]
+        nplan = NStatePlan(5)
+        assert nplan.taps is nplan.taps and nplan.stage is nplan.stage
+        assert [bs.transmittance for bs in nplan.taps] == [4 / 5, 3 / 4, 2 / 3, 1 / 2]
+        assert nplan.stage.transmittance == nplan.stage_transmittance
+        # The kept splitters do not take part in equality or hashing.
+        assert plan == SplitterPlan(0.3) and hash(nplan) == hash(NStatePlan(5))
+
 
 class TestDetectorAmplitudes:
     def test_both_nulls_when_everything_equal(self):
