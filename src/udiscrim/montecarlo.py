@@ -20,14 +20,22 @@ so the stream layout does not depend on the priors.  A slice of trials
 no click excluded, times a weight vector, give exact integers that a
 lookup table turns into a class (the lone survivor's index, no click, or
 ambiguous), and one ``bincount`` over ``truth * (n + 2) + class`` yields
-every count.
+every count.  With a constant truth every trial compares against the same
+row, so the compare is written transposed, as n rows of slice length.
 
 A block is cut into at most ``_CHUNK``-trial chunks of equal size, which
 worker threads share.  Each chunk is drawn and tallied in consecutive
 slices of about ``_SLICE_DRAWS`` draws that add into one table; they read
 the stream in order, so the counts do not depend on the slice size.  Each
-worker thread fills one slice-sized draw buffer, kept for the whole run, so
-its memory does not grow with the block size.
+worker thread keeps, for the whole run, one slice-sized draw buffer and
+one Philox generator, which every chunk moves to its first counter; so a
+thread's memory does not grow with the block size, and a chunk builds no
+generator of its own.
+
+``click_matrix`` is evaluated once per block through the network's
+per-port path (``port_contributions`` or ``nstate_port_contributions``);
+the plans keep their splitters and the splitters their coefficients, so
+that path builds no objects beyond its amplitudes.
 """
 
 from __future__ import annotations

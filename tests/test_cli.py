@@ -77,8 +77,8 @@ class TestHappyPaths:
     def test_ignored_amplitude_part_is_named(self, tmp_path, capsys, args, ignored):
         rc = run([*args, "--points", "2", "--out", tmp_path / "x.csv", *FAST])
         assert rc == 0
-        err = capsys.readouterr().err
-        assert err == ("" if ignored is None else f"udiscrim: warning: {args[0]} ignores {ignored}\n")
+        want = "" if ignored is None else f"udiscrim: warning: {args[0]} ignores {ignored}\n"
+        assert capsys.readouterr().err == want
 
     def test_ignored_amplitude_part_from_config_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

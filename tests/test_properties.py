@@ -8,8 +8,7 @@ so every run checks the same cases.
 
 from unittest import mock
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
 
 from udiscrim import montecarlo
 from udiscrim.detection import DetectorModel, InterferenceModel
@@ -17,6 +16,10 @@ from udiscrim.drift import DriftModel, StabilizerConfig
 from udiscrim.montecarlo import ExperimentConfig, run_experiment
 from udiscrim.network import NStatePlan, SplitterPlan
 from udiscrim.sweeps import ring_programs
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 
 @st.composite
