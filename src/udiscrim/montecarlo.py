@@ -35,7 +35,7 @@ generator of its own.
 ``click_matrix`` is evaluated once per block through the network's
 per-port path (``port_contributions`` or ``nstate_port_contributions``);
 the plans keep their splitters and the splitters their coefficients, so
-that path builds no objects beyond its amplitudes.
+that path builds no splitter per call.
 """
 
 from __future__ import annotations
