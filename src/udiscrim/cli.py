@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -92,6 +93,8 @@ def _amplitude(text: str) -> tuple[float, float | None]:
         deg = float(deg_text) if deg_text else None
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected N:DEG, got {text!r}") from exc
+    if not (math.isfinite(n) and math.isfinite(deg or 0.0)):
+        raise argparse.ArgumentTypeError(f"expected finite N:DEG, got {text!r}")
     if n < 0.0:
         raise argparse.ArgumentTypeError(f"mean photon number must be >= 0, got {n}")
     return n, deg

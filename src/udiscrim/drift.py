@@ -34,19 +34,17 @@ class DriftModel:
 
 @dataclass(frozen=True)
 class StabilizerConfig:
-    enabled: bool = True
+    """Dither-and-lock settings; a run without the lock passes ``None``."""
+
     probe_trials: int = 2000
     dither: float = 0.2
     gain: float = 0.7
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.dither):
-            raise ValueError(f"dither must be finite, got {self.dither}")
-        if self.enabled:
-            if self.probe_trials <= 0:
-                raise ValueError("stabilizer needs probe_trials >= 1")
-            if self.dither <= 0.0:
-                raise ValueError("stabilizer needs a positive dither")
+        if self.probe_trials <= 0:
+            raise ValueError("stabilizer needs probe_trials >= 1")
+        if not (0.0 < self.dither < math.inf):
+            raise ValueError(f"dither must be finite and positive, got {self.dither}")
         if not (0.0 < self.gain <= 1.0):
             raise ValueError(f"gain must lie in (0, 1], got {self.gain}")
 
@@ -74,11 +72,16 @@ class ProbeModel:
 
 
 def evolve(phases: np.ndarray, drift: DriftModel, rng: np.random.Generator) -> np.ndarray:
-    """One random-walk step of every loop's phase error."""
+    """One random-walk step of every loop's phase error; a step that
+    overflows a phase raises ``ValueError`` instead of running on inf."""
     phases = np.asarray(phases, dtype=float)
     if drift.sigma == 0.0:
         return phases.copy()
-    return phases + rng.normal(0.0, drift.sigma, size=phases.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepped = phases + rng.normal(0.0, drift.sigma, size=phases.shape)
+    if not np.isfinite(stepped).all():
+        raise ValueError(f"drift sigma {drift.sigma} took a phase past the float range")
+    return stepped
 
 
 def _estimate_mean_photons(clicks: int, trials: int, det: DetectorModel) -> float:
@@ -102,8 +105,6 @@ def stabilize(
     dither points gives a signed estimate of the residual phase, which is
     pulled toward zero with the configured gain.
     """
-    if not cfg.enabled:
-        raise ValueError("stabilize() called with a disabled StabilizerConfig")
     phases = np.asarray(phases, dtype=float).copy()
     m = cfg.probe_trials
     used = 0
@@ -145,7 +146,7 @@ def simulate_drift_paths(
     each block's drift step and, if a stabilizer is given, its correction.
     Each path gets an independent, reproducible stream from ``seed``.
     """
-    if stabilizer is not None and stabilizer.enabled and probe is None:
+    if stabilizer is not None and probe is None:
         raise ValueError("stabilized paths need a ProbeModel")
     drift = DriftModel(sigma)
     out = np.empty((paths, blocks), dtype=float)
@@ -154,7 +155,7 @@ def simulate_drift_paths(
         phi = np.zeros(1)
         for b in range(blocks):
             phi = evolve(phi, drift, rng)
-            if stabilizer is not None and stabilizer.enabled:
+            if stabilizer is not None:
                 phi, _ = stabilize(phi, stabilizer, [probe], rng)
             out[p, b] = phi[0]
     return out

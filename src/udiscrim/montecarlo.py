@@ -28,9 +28,10 @@ worker threads share.  Each chunk is drawn and tallied in consecutive
 slices of about ``_SLICE_DRAWS`` draws that add into one table; they read
 the stream in order, so the counts do not depend on the slice size.  Each
 worker thread keeps, for the whole run, one slice-sized draw buffer and
-one Philox generator, which every chunk moves to its first counter; so a
-thread's memory does not grow with the block size, and a chunk builds no
-generator of its own.
+one Philox generator with its fresh state; every chunk restores that state
+and calls ``advance`` to reach its first counter, as ``run_trial`` does.
+So a thread's memory does not grow with the block size, and a chunk
+builds no generator of its own.
 
 ``click_matrix`` is evaluated once per block through the network's
 per-port path (``port_contributions`` or ``nstate_port_contributions``);
@@ -68,8 +69,6 @@ _CHUNK = 1 << 16
 _SLICE_DRAWS = 12 << 12
 # Philox advances its counter in blocks of four 64-bit draws.
 _DRAWS_PER_COUNTER_STEP = 4
-# Philox's 256-bit counter is set as four 64-bit words.
-_U64 = (1 << 64) - 1
 
 # Run-size caps, checked before anything is allocated.  A run keeps one
 # Counts and one row of phases per block, and a block lists its chunks
@@ -115,10 +114,6 @@ class Counts:
             self.no_clicks + other.no_clicks,
             self.c_tot + other.c_tot,
         )
-
-    @classmethod
-    def zero(cls, n: int) -> "Counts":
-        return cls((0,) * n, (0,) * n, 0, 0, 0)
 
     @property
     def conclusive(self) -> int:
@@ -298,24 +293,17 @@ def _philox_at(
 ) -> np.random.Generator:
     """The thread's kept measurement generator, moved to ``counter``.
 
-    A fresh ``Philox(meas_ss)`` starts at counter 0 with an empty buffer,
-    and ``advance(k)`` adds k to the counter and empties the buffer, so
-    setting the counter with the buffer empty gives exactly the stream of
-    a fresh generator advanced by k, without building one per chunk.
+    The generator keeps its fresh state; restoring it and advancing by
+    ``counter`` gives exactly the stream of a fresh ``Philox(meas_ss)``
+    advanced there, as in ``run_trial``, without building one per chunk.
     """
     kept = getattr(scratch, "philox", None)
     if kept is None or kept[0] is not meas_ss:
         gen = np.random.Generator(np.random.Philox(meas_ss))
-        kept = scratch.philox = (meas_ss, gen, gen.bit_generator.state["state"]["key"].tolist())
-    _, gen, key = kept
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [(counter >> s) & _U64 for s in (0, 64, 128, 192)], "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": _DRAWS_PER_COUNTER_STEP,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        kept = scratch.philox = (meas_ss, gen, gen.bit_generator.state)
+    _, gen, fresh = kept
+    gen.bit_generator.state = fresh
+    gen.bit_generator.advance(counter)
     return gen
 
 
@@ -493,7 +481,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     meas_ss, drift_ss, stab_ss = root.spawn(3)
     drift_rng = np.random.Generator(np.random.Philox(drift_ss))
     stab_rng = np.random.Generator(np.random.Philox(stab_ss))
-    probes = _probe_models(cfg) if cfg.stabilizer is not None and cfg.stabilizer.enabled else None
+    probes = None if cfg.stabilizer is None else _probe_models(cfg)
     draw = _chunk_tally(cfg, meas_ss, threading.local())
 
     phases = np.zeros(n)
@@ -516,8 +504,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     finally:
         if pool is not None:
             pool.shutdown()
-    pooled = Counts.zero(n)
-    for c in block_counts:
+    pooled = block_counts[0]
+    for c in block_counts[1:]:
         pooled = pooled + c
     pooled.check()
     return ExperimentResult(

@@ -45,7 +45,7 @@ def intensity(a: ComplexAmplitude) -> float:
 def bs_transform(
     a_in: ComplexAmplitude,
     b_in: ComplexAmplitude,
-    bs: BeamSplitter | float,
+    bs: BeamSplitter,
 ) -> tuple[ComplexAmplitude, ComplexAmplitude]:
     """Mix two input modes on a beam splitter.
 
@@ -56,8 +56,6 @@ def bs_transform(
 
     which conserves total intensity for every transmittance.
     """
-    if not isinstance(bs, BeamSplitter):
-        bs = BeamSplitter(bs)
     st = bs.sqrt_t
     sr = bs.sqrt_r
     a_out = st * a_in + 1j * (sr * b_in)
@@ -72,6 +70,8 @@ def apply_phase(a: ComplexAmplitude, phi: float) -> ComplexAmplitude:
 
 def from_intensity_phase(n: float, phi: float) -> ComplexAmplitude:
     """Amplitude with mean photon number ``n`` and phase ``phi`` (radians)."""
-    if n < 0.0 or math.isnan(n):
-        raise ValueError(f"mean photon number must be >= 0, got {n}")
+    if not (0.0 <= n < math.inf):
+        raise ValueError(f"mean photon number must be finite and >= 0, got {n}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
     return cmath.rect(math.sqrt(n), phi)

@@ -287,6 +287,35 @@ class TestFailureModes:
     def test_bad_drift_sigma_is_usage_error(self, sigma):
         assert run(["sweep-intensity", "--points", "2", "--drift-sigma", sigma, *FAST]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alpha1", "inf:0"), ("--alpha1", "1:nan"), ("--alpha1", "1:inf"),
+         ("--alpha1", "1:-inf"), ("--alpha2", "nan:180")],
+    )
+    def test_non_finite_alpha_names_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert run(["sweep-phase", "--points", "2", flag, value, "--out", out, *FAST]) == 2
+        assert f"argument {flag}: expected finite N:DEG, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_alpha_in_config_names_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha1=1:inf\n")
+        out = tmp_path / "x.csv"
+        assert run(["--config", cfg, "nstate", "--n", "2", "--out", out, *NSTATE_FAST]) == 2
+        assert "argument --alpha1: expected finite N:DEG" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lock", [[], ["--stabilize"]], ids=["free", "locked"])
+    def test_overflowing_drift_sigma_is_named(self, tmp_path, capsys, lock):
+        # The first drift steps overflow a phase; numpy must not warn first.
+        out = tmp_path / "x.csv"
+        args = ["nstate", "--n", "3", "--drift-sigma", "1e308", *lock, "--out", out]
+        assert run([*args, *NSTATE_FAST]) == 2
+        assert "drift sigma 1e+308" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blind_detector_with_lock_runs(self, tmp_path, capsys):
         out = tmp_path / "blind.csv"
         rc = run(["sweep-intensity", "--points", "2", "--eta1", "0", "--stabilize",

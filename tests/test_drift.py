@@ -48,6 +48,13 @@ class TestEvolve:
         with pytest.raises(ValueError):
             DriftModel(-0.01)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_step_names_sigma(self):
+        # Phases near the float limit overflow on a step of either sign.
+        phases = np.array([1.7e308, -1.7e308] * 4)
+        with pytest.raises(ValueError, match="drift sigma 1e\\+308"):
+            evolve(phases, DriftModel(1e308), np.random.default_rng(5))
+
 
 class TestStabilizerConfig:
     def test_zero_probe_trials_rejected(self):
@@ -57,11 +64,6 @@ class TestStabilizerConfig:
     def test_zero_dither_rejected(self):
         with pytest.raises(ValueError):
             StabilizerConfig(dither=0.0)
-
-    def test_disabled_config_skips_validation_of_probes(self):
-        cfg = StabilizerConfig(enabled=False, probe_trials=0, dither=0.0)
-        with pytest.raises(ValueError):
-            stabilize(np.zeros(1), cfg, [reference_probe()], np.random.default_rng(0))
 
 
 class TestStabilize:

@@ -45,9 +45,6 @@ class TestBeamSplitter:
             with pytest.raises(ValueError):
                 BeamSplitter(t)
 
-    def test_float_transmittance_accepted_directly(self):
-        assert bs_transform(1 + 0j, 0j, 1.0) == (1 + 0j, 0j)
-
     def test_mach_zehnder_composition(self):
         # Two balanced splitters: zero internal phase swaps the inputs,
         # a pi phase on one arm restores them (up to global phases).
@@ -108,3 +105,12 @@ class TestFromIntensityPhase:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
             from_intensity_phase(-1e-9, 0.0)
+
+    @pytest.mark.parametrize(
+        "n, phi, what",
+        [(math.inf, 0.0, "mean photon number"), (math.nan, 0.0, "mean photon number"),
+         (1.0, math.nan, "phase"), (1.0, math.inf, "phase"), (1.0, -math.inf, "phase")],
+    )
+    def test_non_finite_input_rejected(self, n, phi, what):
+        with pytest.raises(ValueError, match=what):
+            from_intensity_phase(n, phi)

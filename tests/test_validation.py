@@ -33,13 +33,12 @@ def _config(priors):
         lambda: DriftModel(math.nan),
         lambda: DriftModel(math.inf),
         lambda: StabilizerConfig(dither=math.nan),
-        lambda: StabilizerConfig(enabled=False, dither=math.nan),
         lambda: _config((math.nan, 1.0)),
         lambda: _config((1.0, math.nan)),
     ],
     ids=[
         "dark-nan", "dark-inf", "sigma-nan", "sigma-inf", "dither-nan",
-        "disabled-dither-nan", "prior-nan-first", "prior-nan-last",
+        "prior-nan-first", "prior-nan-last",
     ],
 )
 def test_non_finite_input_is_rejected(build):
