@@ -9,8 +9,9 @@ changed the simulator's output.
 
 The CLI only runs truth-conditioned (one-hot) priors, so the library cases
 pin the per-block counts of runs whose truth is drawn from the priors.  The
-click-matrix cases pin the click law itself, bit for bit, over seeded random
-networks.
+fraction cases pin the pooled fractions and their standard errors, from one
+block (the binomial error) and from many.  The click-matrix cases pin the
+click law itself, bit for bit, over seeded random networks.
 """
 
 import hashlib
@@ -22,7 +23,12 @@ import pytest
 from udiscrim import cli
 from udiscrim.detection import DetectorModel, InterferenceModel
 from udiscrim.drift import DriftModel
-from udiscrim.montecarlo import ExperimentConfig, click_matrix, run_experiment
+from udiscrim.montecarlo import (
+    ExperimentConfig,
+    click_matrix,
+    fractions_from_blocks,
+    run_experiment,
+)
 from udiscrim.network import NStatePlan, SplitterPlan
 from udiscrim.optics import BeamSplitter
 from udiscrim.sweeps import ring_programs
@@ -146,6 +152,54 @@ def test_library_block_counts_are_pinned(case, workers):
     kwargs, expected = LIBRARY_CASES[case]
     res = run_experiment(ExperimentConfig(**kwargs), workers)
     assert _block_digest(res) == expected
+
+
+# case -> (ExperimentConfig keyword arguments, SHA-256 of the fractions)
+FRACTION_CASES = {
+    "uniform-n3-one-block": (
+        dict(priors=None, blocks=1),
+        "a1d8d70a9ac84a9719142ab8f46bff79ffea8250e7ee4a4871707f7574eb5e5c",
+    ),
+    # Twelve blocks, more than the eight lanes of numpy's pairwise sum.
+    "uniform-n3-twelve-blocks": (
+        dict(priors=None, blocks=12),
+        "40ad99cb35c19993ea76348e07853cf48c3e43690783fcf855ad165f66c35bb3",
+    ),
+    "one-hot-n3-one-block": (
+        dict(priors=(0.0, 1.0, 0.0), blocks=1),
+        "f09820b3eecb00b309d09852912e2a893283eaf7b685ff78543bd53ccd42845c",
+    ),
+    "one-hot-n3-twelve-blocks": (
+        dict(priors=(0.0, 1.0, 0.0), blocks=12),
+        "26e72974f381ed29bc66afc51f72c37113358fcce56ddda7ab4c886ab722b49e",
+    ),
+}
+
+
+def _fractions_digest(f) -> str:
+    h = hashlib.sha256()
+    for field in (f.p_plus, f.p_minus, f.p_inconclusive, f.se_p_plus, f.se_p_minus,
+                  f.se_p_inconclusive):
+        h.update(np.asarray(field, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(FRACTION_CASES))
+def test_fractions_from_blocks_are_pinned(case):
+    kwargs, expected = FRACTION_CASES[case]
+    cfg = ExperimentConfig(
+        programs=ring_programs(3, 1.5),
+        plan=NStatePlan(3),
+        detectors=(DetectorModel(0.53, 1e-2),),
+        interference=(InterferenceModel(0.9),),
+        trials_per_block=1500,
+        seed=8,
+        drift=DriftModel(0.1),
+        **kwargs,
+    )
+    res = run_experiment(cfg)
+    assert _fractions_digest(fractions_from_blocks(res.block_counts)) == expected
+    assert _fractions_digest(res.fractions) == expected
 
 
 def _random_config(rng, n, plan):
