@@ -4,7 +4,9 @@ Every trial is one triggered laser pulse: a true hypothesis is drawn from
 the priors, the detector-port mean photon numbers follow from the network
 (with the current block's phase errors), independent clicks are sampled
 and the exclusion classifier labels the outcome.  Trials are grouped into
-blocks; drift and stabilization act between blocks.
+blocks; drift and stabilization act between blocks.  The phases come only
+from the drift and lock streams, never from the counts, so a run computes
+its whole phase history first and then tallies the blocks in order.
 
 Randomness is counter based: trial ``i`` owns a fixed window of a Philox
 stream keyed by the experiment seed, so the outcome of a trial depends
@@ -25,13 +27,15 @@ row, so the compare is written transposed, as n rows of slice length.
 
 A block is cut into at most ``_CHUNK``-trial chunks of equal size, which
 worker threads share.  Each chunk is drawn and tallied in consecutive
-slices of about ``_SLICE_DRAWS`` draws that add into one table; they read
-the stream in order, so the counts do not depend on the slice size.  Each
-worker thread keeps, for the whole run, one slice-sized draw buffer and
-one Philox generator with its fresh state; every chunk restores that state
-and calls ``advance`` to reach its first counter, as ``run_trial`` does.
-So a thread's memory does not grow with the block size, and a chunk
-builds no generator of its own.
+slices of about ``_SLICE_DRAWS`` draws that add into one (n, n + 2) table
+of counts by truth and class; they read the stream in order, so the counts
+do not depend on the slice size.  A block adds its chunks' tables and
+builds its ``Counts`` once; their partition check is the block invariant.
+Each worker thread keeps, for the whole run, one slice-sized draw buffer
+and one Philox generator with its fresh state; every chunk restores that
+state and calls ``advance`` to reach its first counter, as ``run_trial``
+does.  So a thread's memory does not grow with the block size, and a
+chunk builds no generator of its own.
 
 ``click_matrix`` is evaluated once per block through the network's
 per-port path (``port_contributions`` or ``nstate_port_contributions``);
@@ -274,9 +278,11 @@ def _class_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, classes
 
 
-def _measurement_stream(seed: int) -> np.random.SeedSequence:
-    meas, _, _ = np.random.SeedSequence(seed).spawn(3)
-    return meas
+def _streams(seed: int) -> tuple[np.random.SeedSequence, np.random.Generator, np.random.Generator]:
+    """The experiment seed, split once: the measurement stream's seed, then
+    the drift and lock generators."""
+    meas_ss, drift_ss, stab_ss = np.random.SeedSequence(seed).spawn(3)
+    return meas_ss, *(np.random.Generator(np.random.Philox(ss)) for ss in (drift_ss, stab_ss))
 
 
 def _kept(scratch: threading.local, name: str, size: int, dtype) -> np.ndarray:
@@ -317,7 +323,9 @@ def _chunk_counts(
     weights: np.ndarray,
     classes: np.ndarray,
     scratch: threading.local,
-) -> Counts:
+) -> np.ndarray:
+    """The chunk's (n, n + 2) count table: row t holds what truth t gave,
+    survivor j in column j, then no click, then ambiguous."""
     start, stop = bounds
     n = matrix.shape[0]
     gen = _philox_at(scratch, meas_ss, start * (stride // _DRAWS_PER_COUNTER_STEP))
@@ -347,16 +355,7 @@ def _chunk_counts(
         key += t * (n + 2)
         part = np.bincount(key, minlength=n * (n + 2))
         table = part if table is None else np.add(table, part, out=table)
-    # Row t holds what truth t gave: survivor j in column j, then no click,
-    # then ambiguous.
-    rows = table.reshape(n, n + 2).tolist()
-    return Counts(
-        tuple(r[t] for t, r in enumerate(rows)),
-        tuple(sum(r[:n]) - r[t] for t, r in enumerate(rows)),
-        sum(r[n + 1] for r in rows),
-        sum(r[n] for r in rows),
-        stop - start,
-    )
+    return table.reshape(n, n + 2)
 
 
 def _chunk_tally(
@@ -389,7 +388,7 @@ def run_trial(
     phases = np.zeros(n) if phase_errors is None else np.asarray(phase_errors, dtype=float)
     matrix = click_matrix(cfg, phases)
     stride = _stride(n)
-    bg = np.random.Philox(_measurement_stream(cfg.seed))
+    bg = np.random.Philox(_streams(cfg.seed)[0])
     bg.advance(trial_index * (stride // _DRAWS_PER_COUNTER_STEP))
     u = np.random.Generator(bg).random(stride)
     truth = int(np.searchsorted(_prior_cdf(cfg.priors), u[0], side="right"))
@@ -425,93 +424,85 @@ def _run_block(
     draw: partial,
     pool: ThreadPoolExecutor | None,
 ) -> Counts:
+    """The block's counts, from the sum of its chunks' tables."""
+    n = cfg.n_states
     bounds = _chunk_bounds(block_index * cfg.trials_per_block, cfg.trials_per_block)
     work = partial(draw, matrix=click_matrix(cfg, phases))
-    parts = map(work, bounds) if pool is None else pool.map(work, bounds)
-    total = next(parts)
-    for part in parts:
-        total = total + part
-    total.check()
-    if total.c_tot != cfg.trials_per_block:
-        raise InvariantViolation(
-            f"block ran {total.c_tot} trials, expected {cfg.trials_per_block}"
-        )
-    return total
+    rows = sum(map(work, bounds) if pool is None else pool.map(work, bounds)).tolist()
+    counts = Counts(
+        tuple(r[t] for t, r in enumerate(rows)),
+        tuple(sum(r[:n]) - r[t] for t, r in enumerate(rows)),
+        sum(r[n + 1] for r in rows),
+        sum(r[n] for r in rows),
+        cfg.trials_per_block,
+    )
+    counts.check()
+    return counts
 
 
 def fractions_from_blocks(block_counts: tuple[Counts, ...]) -> Fractions:
     """Pooled fractions with standard errors from the block-to-block spread.
 
     With a single block the spread is undefined and the binomial standard
-    error of the pooled fraction is used instead.
+    error of the pooled fraction is used instead.  Every count must lie
+    below 2**53, as the run-size caps keep it, so that it converts to a
+    float exactly.
     """
-    pooled = block_counts[0]
-    for c in block_counts[1:]:
-        pooled = pooled + c
-    n = len(pooled.c_plus)
-    p_plus = np.array([c / pooled.c_tot for c in pooled.c_plus])
-    p_minus = np.array([c / pooled.c_tot for c in pooled.c_minus])
-    p_inc = pooled.inconclusive / pooled.c_tot
+    n = len(block_counts[0].c_plus)
     nb = len(block_counts)
+    # One row per block: C_j^+, C_j^-, the inconclusive count, then C_tot.
+    buckets = np.array([(*c.c_plus, *c.c_minus, c.inconclusive, c.c_tot) for c in block_counts])
+    pooled = buckets.sum(axis=0)
+    p = pooled[:-1] / pooled[-1]
     if nb >= 2:
-        f_plus = np.array([[c.c_plus[j] / c.c_tot for j in range(n)] for c in block_counts])
-        f_minus = np.array([[c.c_minus[j] / c.c_tot for j in range(n)] for c in block_counts])
-        f_inc = np.array([c.inconclusive / c.c_tot for c in block_counts])
-        se_plus = f_plus.std(axis=0, ddof=1) / math.sqrt(nb)
-        se_minus = f_minus.std(axis=0, ddof=1) / math.sqrt(nb)
-        se_inc = float(f_inc.std(ddof=1) / math.sqrt(nb))
+        f = buckets[:, :-1] / buckets[:, -1:]
+        se = f.std(axis=0, ddof=1) / math.sqrt(nb)
+        # numpy sums a 1-D array pairwise but each column of a 2-D one in
+        # order; the inconclusive spread has always been the 1-D kind.
+        se[-1] = f[:, -1].std(ddof=1) / math.sqrt(nb)
     else:
-        se_plus = np.array([binomial_stderr(p, pooled.c_tot) for p in p_plus])
-        se_minus = np.array([binomial_stderr(p, pooled.c_tot) for p in p_minus])
-        se_inc = binomial_stderr(p_inc, pooled.c_tot)
-    return Fractions(p_plus, p_minus, p_inc, se_plus, se_minus, se_inc)
+        se = np.sqrt(p * (1.0 - p) / pooled[-1])
+    return Fractions(p[:n], p[n:-1], float(p[-1]), se[:n], se[n:-1], float(se[-1]))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all blocks of one experiment.
 
-    ``workers`` only shards each block's trial range over threads; the
-    counts are identical for every worker count.  No more threads start
-    than a block has chunks or the machine has cores.
+    The phases come only from the drift and lock streams, never from the
+    counts, so the whole phase history is computed first and the blocks
+    are tallied after it.  ``workers`` only shards each block's trial range
+    over threads; the counts are identical for every worker count.  No
+    more threads start than a block has chunks or the machine has cores.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    n = cfg.n_states
-    root = np.random.SeedSequence(cfg.seed)
-    meas_ss, drift_ss, stab_ss = root.spawn(3)
-    drift_rng = np.random.Generator(np.random.Philox(drift_ss))
-    stab_rng = np.random.Generator(np.random.Philox(stab_ss))
+    meas_ss, drift_rng, stab_rng = _streams(cfg.seed)
     probes = None if cfg.stabilizer is None else _probe_models(cfg)
-    draw = _chunk_tally(cfg, meas_ss, threading.local())
-
-    phases = np.zeros(n)
-    history = np.empty((cfg.blocks, n), dtype=float)
-    block_counts: list[Counts] = []
+    phases = np.zeros(cfg.n_states)
+    history = np.empty((cfg.blocks, cfg.n_states), dtype=float)
     probe_pulses = 0
+    for b in range(cfg.blocks):
+        if cfg.drift is not None:
+            phases = evolve(phases, cfg.drift, drift_rng)
+        if probes is not None:
+            phases, used = stabilize(phases, cfg.stabilizer, probes, stab_rng)
+            probe_pulses += used
+        history[b] = phases
+
+    draw = _chunk_tally(cfg, meas_ss, threading.local())
     # More threads than chunks per block or than cores would only wait.
     chunks = -(-cfg.trials_per_block // _CHUNK)
     threads = min(workers, chunks, os.cpu_count() or 1)
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
-        for b in range(cfg.blocks):
-            if cfg.drift is not None:
-                phases = evolve(phases, cfg.drift, drift_rng)
-            if probes is not None:
-                phases, used = stabilize(phases, cfg.stabilizer, probes, stab_rng)
-                probe_pulses += used
-            history[b] = phases
-            block_counts.append(_run_block(cfg, b, phases, draw, pool))
+        block_counts = tuple(_run_block(cfg, b, history[b], draw, pool) for b in range(cfg.blocks))
     finally:
         if pool is not None:
             pool.shutdown()
-    pooled = block_counts[0]
-    for c in block_counts[1:]:
-        pooled = pooled + c
-    pooled.check()
     return ExperimentResult(
-        counts=pooled,
-        block_counts=tuple(block_counts),
-        fractions=fractions_from_blocks(tuple(block_counts)),
+        counts=sum(block_counts[1:], block_counts[0]),
+        block_counts=block_counts,
+        fractions=fractions_from_blocks(block_counts),
         phase_history=history,
         probe_pulses=probe_pulses,
     )

@@ -241,8 +241,9 @@ class TestDeterminism:
         phases = np.random.default_rng(n).normal(0.0, 0.3, size=n)
 
         def tally(c, phases, scratch):
-            ss = montecarlo._measurement_stream(c.seed)
-            return partial(montecarlo._chunk_tally(c, ss, scratch), matrix=click_matrix(c, phases))
+            ss = montecarlo._streams(c.seed)[0]
+            work = partial(montecarlo._chunk_tally(c, ss, scratch), matrix=click_matrix(c, phases))
+            return lambda bounds: work(bounds).tolist()
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 700)
         # Block 1 of 2000-trial blocks, in chunks of 666 and 667 trials.
