@@ -169,9 +169,9 @@ def _read_config(path: Path) -> dict[str, str]:
 
 
 def _apply_config(commands: dict[str, argparse.ArgumentParser], config: dict[str, str]) -> None:
-    """Install config strings as subcommand defaults and have argparse type
-    them, even where a flag will override them.  argparse neither converts
-    a store_true default nor checks one against ``choices``, so
+    """Install config strings as defaults of every subcommand that reads
+    them; ``main`` has argparse type them.  argparse neither converts a
+    store_true default nor checks one against ``choices``, so
     ``stabilize`` and ``format`` are settled here."""
     overrides: dict[str, object] = dict(config)
     if "stabilize" in config:
@@ -184,7 +184,6 @@ def _apply_config(commands: dict[str, argparse.ArgumentParser], config: dict[str
     for sp in commands.values():
         dests = vars(sp.parse_args([]))  # every key this subcommand parses
         sp.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
-        sp.parse_args([])  # a value that does not type exits 2 here
         unknown -= dests.keys()
     if unknown:
         raise _UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -249,6 +248,11 @@ def main(argv: list[str] | None = None) -> int:
         if config is not None:
             _apply_config(commands, _read_config(config))
         args = parser.parse_args(argv)
+        if config is not None:
+            # Type every config value, even one a flag overrides or only another
+            # subcommand reads; the command run goes first, so its errors name it.
+            for name in sorted(commands, key=lambda name: name != args.command):
+                commands[name].parse_args([])  # a value that does not type exits 2
         ignored = _ignored_parts(args)
         if ignored:
             print(f"udiscrim: warning: {args.command} ignores {' and '.join(ignored)}",

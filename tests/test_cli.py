@@ -306,6 +306,18 @@ class TestFailureModes:
         assert "argument --alpha1: expected finite N:DEG" in capsys.readouterr().err
         assert not out.exists()
 
+    # The second value is overridden by NSTATE_FAST's --trials.
+    @pytest.mark.parametrize("line, flag", [("alpha1=1:inf", "--alpha1"), ("trials=1e5", "--trials")])
+    def test_config_error_names_the_command_run(self, tmp_path, capsys, line, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "x.csv"
+        assert run(["--config", cfg, "nstate", "--n", "2", "--out", out, *NSTATE_FAST]) == 2
+        err = capsys.readouterr().err
+        assert f"udiscrim nstate: error: argument {flag}:" in err
+        assert "sweep" not in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lock", [[], ["--stabilize"]], ids=["free", "locked"])
     def test_overflowing_drift_sigma_is_named(self, tmp_path, capsys, lock):
