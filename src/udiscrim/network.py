@@ -52,9 +52,10 @@ class SplitterPlan:
         if not (0.0 <= self.t0 <= 1.0) or math.isnan(self.t0):
             raise ValueError(f"t0 must lie in [0, 1], got {self.t0}")
         if self.t0 in (0.0, 1.0):
+            # Past this method and the dataclass-generated __init__.
             warnings.warn(
                 f"t0={self.t0} leaves one detector port without signal",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

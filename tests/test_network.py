@@ -41,6 +41,12 @@ class TestSplitterPlan:
             plan = SplitterPlan(1.0)
         assert (plan.t1, plan.t2) == (0.5, 0.0)
 
+    @pytest.mark.parametrize("t0", [0.0, 1.0])
+    def test_boundary_warning_points_at_the_caller(self, t0):
+        with pytest.warns(UserWarning) as record:
+            SplitterPlan(t0)
+        assert [w.filename for w in record] == [__file__]
+
     def test_out_of_range_rejected(self):
         for t0 in (-0.01, 1.01):
             with pytest.raises(ValueError):
