@@ -36,10 +36,6 @@ class DetectorModel:
         if not (0.0 <= self.dark_mean < math.inf):
             raise ValueError(f"dark_mean must be finite and >= 0, got {self.dark_mean}")
 
-    @property
-    def dark_click_probability(self) -> float:
-        return -math.expm1(-self.dark_mean)
-
 
 @dataclass(frozen=True)
 class InterferenceModel:

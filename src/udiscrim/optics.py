@@ -32,10 +32,6 @@ class BeamSplitter:
         object.__setattr__(self, "sqrt_t", math.sqrt(self.transmittance))
         object.__setattr__(self, "sqrt_r", math.sqrt(1.0 - self.transmittance))
 
-    @property
-    def reflectance(self) -> float:
-        return 1.0 - self.transmittance
-
 
 def intensity(a: ComplexAmplitude) -> float:
     """Mean photon number per pulse carried by amplitude ``a``."""
