@@ -458,7 +458,7 @@ def fractions_from_blocks(block_counts: tuple[Counts, ...]) -> Fractions:
         f = buckets[:, :-1] / buckets[:, -1:]
         se = f.std(axis=0, ddof=1) / math.sqrt(nb)
         # numpy sums a 1-D array pairwise but each column of a 2-D one in
-        # order; the inconclusive spread has always been the 1-D kind.
+        # order; the pinned bytes take the inconclusive spread as 1-D.
         se[-1] = f[:, -1].std(ddof=1) / math.sqrt(nb)
     else:
         se = np.sqrt(p * (1.0 - p) / pooled[-1])
