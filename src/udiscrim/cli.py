@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,6 +75,7 @@ _COMMANDS = {
 }
 
 _DEFAULTS = ScenarioParams()
+_PACKAGE = Path(__file__).parent
 _FORMATS = ("csv", "svg")
 _FIG3_INTENSITIES = (0.25, 0.5, 1.0)
 _TRUE_WORDS = ("1", "true", "yes", "on")
@@ -241,6 +243,22 @@ def _build_tables(args: argparse.Namespace) -> list[tuple[Table, Path]]:
     return [(run(spec, params, args.workers), out)]
 
 
+def _warning_printer(show):
+    """A ``showwarning`` that prints udiscrim's own UserWarnings as
+    ``udiscrim: warning:`` lines, each distinct message once, and hands
+    every other warning to ``show``."""
+    shown: set[str] = set()
+
+    def showwarning(message, category, filename, *rest):
+        if not (issubclass(category, UserWarning) and Path(filename).parent == _PACKAGE):
+            show(message, category, filename, *rest)
+        elif str(message) not in shown:
+            shown.add(str(message))
+            print(f"udiscrim: warning: {message}", file=sys.stderr)
+
+    return showwarning
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     try:
@@ -250,16 +268,25 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if config is not None:
             # Type every config value, even one a flag overrides or only another
-            # subcommand reads; the command run goes first, so its errors name it.
+            # subcommand reads, the command run first; an error names the key.
             for name in sorted(commands, key=lambda name: name != args.command):
-                commands[name].parse_args([])  # a value that does not type exits 2
+                commands[name].exit_on_error = False
+                try:
+                    commands[name].parse_args([])
+                except argparse.ArgumentError as exc:
+                    key = exc.argument_name.lstrip("-").replace("-", "_")
+                    commands[args.command].error(f"{exc} (config key {key}, read by {name})")
         ignored = _ignored_parts(args)
         if ignored:
             print(f"udiscrim: warning: {args.command} ignores {' and '.join(ignored)}",
                   file=sys.stderr)
-        for table, path in _build_tables(args):
-            emit(table, path, args.format, x_label=_COMMANDS[args.command].x_label)
-            print(path)
+        with warnings.catch_warnings():
+            # First among the filters, so that not even -W error raises our own.
+            warnings.filterwarnings("always", category=UserWarning, module=r"udiscrim\.")
+            warnings.showwarning = _warning_printer(warnings.showwarning)
+            for table, path in _build_tables(args):
+                emit(table, path, args.format, x_label=_COMMANDS[args.command].x_label)
+                print(path)
     except SystemExit as exc:  # argparse has printed help or a usage error
         return int(exc.code) if exc.code else 0
     except (_UsageError, ValueError) as exc:

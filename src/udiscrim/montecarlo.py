@@ -31,11 +31,11 @@ slices of about ``_SLICE_DRAWS`` draws that add into one (n, n + 2) table
 of counts by truth and class; they read the stream in order, so the counts
 do not depend on the slice size.  A block adds its chunks' tables and
 builds its ``Counts`` once; their partition check is the block invariant.
-Each worker thread keeps, for the whole run, one slice-sized draw buffer
-and one Philox generator with its fresh state; every chunk restores that
-state and calls ``advance`` to reach its first counter, as ``run_trial``
-does.  So a thread's memory does not grow with the block size, and a
-chunk builds no generator of its own.
+A run builds one thread-local ``_Tally``: what no block changes, and in
+each worker thread one slice-sized draw buffer and one Philox generator
+with its fresh state, kept for the run, so memory does not grow with the
+block size.  Philox is counter based: restoring that state and calling
+``advance``, as ``run_trial`` does, gives a fresh generator's stream.
 
 ``click_matrix`` is evaluated once per block through the network's
 per-port path (``port_contributions`` or ``nstate_port_contributions``);
@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -285,96 +286,67 @@ def _streams(seed: int) -> tuple[np.random.SeedSequence, np.random.Generator, np
     return meas_ss, *(np.random.Generator(np.random.Philox(ss)) for ss in (drift_ss, stab_ss))
 
 
-def _kept(scratch: threading.local, name: str, size: int, dtype) -> np.ndarray:
-    """A flat buffer of at least ``size`` items that the thread keeps."""
-    buf = getattr(scratch, name, None)
-    if buf is None or len(buf) < size:
-        buf = np.empty(size, dtype)
-        setattr(scratch, name, buf)
-    return buf
+class _Tally(threading.local):
+    """One experiment's chunk kernel and the state each thread keeps for it.
 
-
-def _philox_at(
-    scratch: threading.local, meas_ss: np.random.SeedSequence, counter: int
-) -> np.random.Generator:
-    """The thread's kept measurement generator, moved to ``counter``.
-
-    The generator keeps its fresh state; restoring it and advancing by
-    ``counter`` gives exactly the stream of a fresh ``Philox(meas_ss)``
-    advanced there, as in ``run_trial``, without building one per chunk.
+    Python runs ``__init__`` once in each thread that uses the object; the
+    first call fills the slots, which hold what no block changes and are
+    shared by every thread.  Each call builds its thread's Philox generator
+    and saves the fresh state.  Buffers come with a thread's first chunk,
+    so the thread that builds the object holds none it never uses.
     """
-    kept = getattr(scratch, "philox", None)
-    if kept is None or kept[0] is not meas_ss:
-        gen = np.random.Generator(np.random.Philox(meas_ss))
-        kept = scratch.philox = (meas_ss, gen, gen.bit_generator.state)
-    _, gen, fresh = kept
-    gen.bit_generator.state = fresh
-    gen.bit_generator.advance(counter)
-    return gen
 
+    __slots__ = ("stride", "step", "cdf", "truth", "weights", "classes")
 
-def _chunk_counts(
-    bounds: tuple[int, int],
-    matrix: np.ndarray,
-    meas_ss: np.random.SeedSequence,
-    cdf: np.ndarray,
-    truth: int | None,
-    stride: int,
-    weights: np.ndarray,
-    classes: np.ndarray,
-    scratch: threading.local,
-) -> np.ndarray:
-    """The chunk's (n, n + 2) count table: row t holds what truth t gave,
-    survivor j in column j, then no click, then ambiguous."""
-    start, stop = bounds
-    n = matrix.shape[0]
-    gen = _philox_at(scratch, meas_ss, start * (stride // _DRAWS_PER_COUNTER_STEP))
-    step = max(1, _SLICE_DRAWS // stride)
-    # Each thread keeps its buffers for the whole run.  Freed per chunk or
-    # slice, the memory went back to the OS and was faulted in again, which
-    # slowed the one-worker two-state sweeps by 15-30 %.
-    size = min(step, stop - start)
-    draws = _kept(scratch, "draws", size * stride, float)
-    if truth is not None:
-        # A constant truth compares against one row, so the compare writes
-        # (n, slice) rows: much faster than the (slice, n) layout at n = 2.
-        alive_t = _kept(scratch, "alive_t", n * size, bool)
-        row = matrix[truth][:, None]
-    table = None
-    for lo in range(start, stop, step):
-        m = min(step, stop - lo)
-        u = gen.random(out=draws[: m * stride].reshape(m, stride))
-        if truth is None:
-            t = np.searchsorted(cdf, u[:, 0], side="right")
-            alive = u[:, 1 : 1 + n] >= np.take(matrix, t, axis=0)
-            key = np.take(classes, (alive @ weights).astype(np.intp))
-        else:
-            t = truth
-            alive = np.greater_equal(u[:, 1 : 1 + n].T, row, out=alive_t[: n * m].reshape(n, m))
-            key = np.take(classes, (weights @ alive).astype(np.intp))
-        key += t * (n + 2)
-        part = np.bincount(key, minlength=n * (n + 2))
-        table = part if table is None else np.add(table, part, out=table)
-    return table.reshape(n, n + 2)
+    def __init__(self, cfg: ExperimentConfig, meas_ss: np.random.SeedSequence) -> None:
+        if not hasattr(self, "classes"):
+            self.stride = _stride(cfg.n_states)
+            self.step = max(1, _SLICE_DRAWS // self.stride)
+            self.cdf = _prior_cdf(cfg.priors)
+            self.truth = _constant_truth(self.cdf)
+            self.weights, self.classes = _class_table(cfg.n_states)
+        self.gen = np.random.Generator(np.random.Philox(meas_ss))
+        self.fresh = self.gen.bit_generator.state
 
+    def _kept(self, name: str, size: int, dtype) -> np.ndarray:
+        """A flat buffer of at least ``size`` items that the thread keeps."""
+        if len(getattr(self, name, ())) < size:
+            setattr(self, name, np.empty(size, dtype))
+        return getattr(self, name)
 
-def _chunk_tally(
-    cfg: ExperimentConfig, meas_ss: np.random.SeedSequence, scratch: threading.local
-) -> partial:
-    """``_chunk_counts`` bound to everything of ``cfg`` that no block changes;
-    a block binds its click matrix."""
-    cdf = _prior_cdf(cfg.priors)
-    weights, classes = _class_table(cfg.n_states)
-    return partial(
-        _chunk_counts,
-        meas_ss=meas_ss,
-        cdf=cdf,
-        truth=_constant_truth(cdf),
-        stride=_stride(cfg.n_states),
-        weights=weights,
-        classes=classes,
-        scratch=scratch,
-    )
+    def tally(self, bounds: tuple[int, int], matrix: np.ndarray) -> np.ndarray:
+        """The chunk's (n, n + 2) count table: row t holds what truth t gave,
+        survivor j in column j, then no click, then ambiguous."""
+        start, stop = bounds
+        n, stride, step, truth, gen = matrix.shape[0], self.stride, self.step, self.truth, self.gen
+        gen.bit_generator.state = self.fresh
+        gen.bit_generator.advance(start * (stride // _DRAWS_PER_COUNTER_STEP))
+        # Each thread keeps its buffers for the whole run.  Freed per chunk or
+        # slice, the memory went back to the OS and was faulted in again, which
+        # slowed the one-worker two-state sweeps by 15-30 %.
+        size = min(step, stop - start)
+        draws = self._kept("draws", size * stride, float)
+        if truth is not None:
+            # A constant truth compares against one row, so the compare writes
+            # (n, slice) rows: much faster than the (slice, n) layout at n = 2.
+            alive_t = self._kept("alive_t", n * size, bool)
+            row = matrix[truth][:, None]
+        table = None
+        for lo in range(start, stop, step):
+            m = min(step, stop - lo)
+            u = gen.random(out=draws[: m * stride].reshape(m, stride))
+            if truth is None:
+                t = np.searchsorted(self.cdf, u[:, 0], side="right")
+                alive = u[:, 1 : 1 + n] >= np.take(matrix, t, axis=0)
+                key = np.take(self.classes, (alive @ self.weights).astype(np.intp))
+            else:
+                t = truth
+                alive = np.greater_equal(u[:, 1 : 1 + n].T, row, out=alive_t[: n * m].reshape(n, m))
+                key = np.take(self.classes, (self.weights @ alive).astype(np.intp))
+            key += t * (n + 2)
+            part = np.bincount(key, minlength=n * (n + 2))
+            table = part if table is None else np.add(table, part, out=table)
+        return table.reshape(n, n + 2)
 
 
 def run_trial(
@@ -421,13 +393,13 @@ def _run_block(
     cfg: ExperimentConfig,
     block_index: int,
     phases,
-    draw: partial,
+    tally: Callable[[tuple[int, int], np.ndarray], np.ndarray],
     pool: ThreadPoolExecutor | None,
 ) -> Counts:
     """The block's counts, from the sum of its chunks' tables."""
     n = cfg.n_states
     bounds = _chunk_bounds(block_index * cfg.trials_per_block, cfg.trials_per_block)
-    work = partial(draw, matrix=click_matrix(cfg, phases))
+    work = partial(tally, matrix=click_matrix(cfg, phases))
     rows = sum(map(work, bounds) if pool is None else pool.map(work, bounds)).tolist()
     counts = Counts(
         tuple(r[t] for t, r in enumerate(rows)),
@@ -489,13 +461,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             probe_pulses += used
         history[b] = phases
 
-    draw = _chunk_tally(cfg, meas_ss, threading.local())
+    tally = _Tally(cfg, meas_ss).tally
     # More threads than chunks per block or than cores would only wait.
     chunks = -(-cfg.trials_per_block // _CHUNK)
     threads = min(workers, chunks, os.cpu_count() or 1)
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
-        block_counts = tuple(_run_block(cfg, b, history[b], draw, pool) for b in range(cfg.blocks))
+        block_counts = tuple(_run_block(cfg, b, history[b], tally, pool) for b in range(cfg.blocks))
     finally:
         if pool is not None:
             pool.shutdown()

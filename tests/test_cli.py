@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,25 @@ class TestHappyPaths:
         assert rc == 0
         want = "" if ignored is None else f"udiscrim: warning: {args[0]} ignores {ignored}\n"
         assert capsys.readouterr().err == want
+
+    # Under an error filter the boundary warning still comes out as a line.
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize("t0", ["0", "1"])
+    def test_library_warning_is_printed_once_in_cli_form(self, tmp_path, capsys, t0):
+        rc = run(["sweep-phase", "--t0", t0, "--points", "3", "--out", tmp_path / "x.csv", *FAST])
+        assert rc == 0
+        want = f"t0={float(t0)} leaves one detector port without signal"
+        assert capsys.readouterr().err == f"udiscrim: warning: {want}\n"
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_other_warnings_keep_their_filters(self, monkeypatch, tmp_path):
+        def tables(_args):
+            warnings.warn("not from udiscrim")
+            return []
+
+        monkeypatch.setattr(cli, "_build_tables", tables)
+        with pytest.raises(UserWarning, match="not from udiscrim"):
+            run(["nstate", "--n", "2", "--out", tmp_path / "x.csv", *NSTATE_FAST])
 
     def test_ignored_amplitude_part_from_config_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -316,6 +336,18 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert f"udiscrim nstate: error: argument {flag}:" in err
         assert "sweep" not in err
+        assert not out.exists()
+
+    def test_config_error_of_another_command_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=banana\n")
+        out = tmp_path / "x.csv"
+        args = ["sweep-phase", "--points", "2", "--alpha1", "1:0", "--out", out]
+        assert run(["--config", cfg, *args, *FAST]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: udiscrim sweep-phase ")
+        assert err.endswith("udiscrim sweep-phase: error: argument --n: invalid int value: "
+                            "'banana' (config key n, read by nstate)\n")
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

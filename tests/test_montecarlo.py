@@ -1,9 +1,8 @@
 import hashlib
 import math
-import threading
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 import pytest
@@ -235,38 +234,50 @@ class TestDeterminism:
     )
     def test_kept_generator_matches_fresh_ones(self, monkeypatch, n, priors):
         cfg = ring_config(n, priors=priors, seed=5)
-        # Another experiment with its own seed, stride and n shares the
-        # thread's scratch in between.
+        # Another experiment with its own seed, stride and n keeps its own
+        # tally on the same thread in between.
         other = ring_config(5, seed=6)
         phases = np.random.default_rng(n).normal(0.0, 0.3, size=n)
 
-        def tally(c, phases, scratch):
-            ss = montecarlo._streams(c.seed)[0]
-            work = partial(montecarlo._chunk_tally(c, ss, scratch), matrix=click_matrix(c, phases))
-            return lambda bounds: work(bounds).tolist()
+        def tally(c, phases):
+            work = montecarlo._Tally(c, montecarlo._streams(c.seed)[0]).tally
+            matrix = click_matrix(c, phases)
+            return lambda bounds: work(bounds, matrix).tolist()
 
         monkeypatch.setattr(montecarlo, "_CHUNK", 700)
         # Block 1 of 2000-trial blocks, in chunks of 666 and 667 trials.
         bounds = montecarlo._chunk_bounds(2000, 2000)
         assert len(bounds) == 3
 
-        def fresh(scratch, meas_ss, counter):
-            bg = np.random.Philox(meas_ss)
-            bg.advance(counter)
-            return np.random.Generator(bg)
+        # A fresh tally, and so a fresh generator, for each chunk.
+        expected = [tally(cfg, phases)(b) for b in bounds]
+        other_expected = [tally(other, np.zeros(5))(b) for b in bounds]
 
-        with monkeypatch.context() as m:
-            m.setattr(montecarlo, "_philox_at", fresh)
-            expected = [tally(cfg, phases, threading.local())(b) for b in bounds]
-            other_expected = [tally(other, np.zeros(5), threading.local())(b) for b in bounds]
-
-        scratch = threading.local()
-        kept, kept_other = tally(cfg, phases, scratch), tally(other, np.zeros(5), scratch)
+        kept, kept_other = tally(cfg, phases), tally(other, np.zeros(5))
         assert [kept(b) for b in bounds] == expected
         assert [kept(b) for b in reversed(bounds)] == expected[::-1]
         mixed = [(kept(b), kept_other(o)) for b, o in zip(bounds, reversed(bounds))]
         assert [a for a, _ in mixed] == expected
         assert [o for _, o in mixed] == other_expected[::-1]
+
+    def test_one_tally_serves_more_threads_than_cores(self, monkeypatch):
+        cfg = ring_config(8, seed=3)
+        meas_ss = montecarlo._streams(cfg.seed)[0]
+        matrix = click_matrix(cfg, np.zeros(8))
+        monkeypatch.setattr(montecarlo, "_CHUNK", 500)
+        bounds = montecarlo._chunk_bounds(0, 20_000)
+        expected = [montecarlo._Tally(cfg, meas_ss).tally(b, matrix).tolist() for b in bounds]
+        # 40 chunks on 8 threads, switching often: a generator that the
+        # threads shared, not one each, would mix up their streams.
+        tally = montecarlo._Tally(cfg, meas_ss).tally
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                shared = pool.map(lambda b: tally(b, matrix).tolist(), bounds, timeout=60)
+                assert list(shared) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_memory_does_not_grow_with_block_size(self):
         def peak(trials, workers):
