@@ -4,7 +4,8 @@ discrimination curves as CSV tables or standalone SVG charts.
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 runtime invariant
 violation.  A plain-text ``key=value`` file passed with ``--config``
 supplies defaults; explicit command-line flags win.  Config values are
-typed and checked like the flags they stand for.
+typed and checked like the flags they stand for, after the command line
+itself, so a command-line error is reported before the file is read.
 """
 
 from __future__ import annotations
@@ -122,21 +123,13 @@ def _add_common(sp: argparse.ArgumentParser, command: _Command) -> None:
     sp.add_argument("--workers", type=int, default=1, help="trial-sharding threads")
 
 
-def _config_parser() -> argparse.ArgumentParser:
-    """Just ``--config``: finds the file before the subcommand parses, and
-    is the parent that gives the full parser the same flag."""
-    parser = argparse.ArgumentParser(prog="udiscrim", add_help=False)
-    parser.add_argument("--config", type=Path, help="key=value file with flag defaults")
-    return parser
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="udiscrim",
         description="Programmable unambiguous discriminator of coherent states: "
         "Monte Carlo sweeps and analytic curve tables.",
-        parents=[_config_parser()],
     )
+    parser.add_argument("--config", type=Path, help="key=value file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
     for name, command in _COMMANDS.items():
@@ -170,10 +163,13 @@ def _read_config(path: Path) -> dict[str, str]:
     return values
 
 
-def _apply_config(commands: dict[str, argparse.ArgumentParser], config: dict[str, str]) -> None:
+def _apply_config(commands: dict[str, argparse.ArgumentParser], config: dict[str, str],
+                  run: str) -> None:
     """Install config strings as defaults of every subcommand that reads
-    them; ``main`` has argparse type them.  argparse neither converts a
-    store_true default nor checks one against ``choices``, so
+    them, and have argparse type them there, the command ``run`` first: a
+    value is checked even where a flag overrides it or only another
+    subcommand reads it, and the error names the key.  argparse neither
+    converts a store_true default nor checks one against ``choices``, so
     ``stabilize`` and ``format`` are settled here."""
     overrides: dict[str, object] = dict(config)
     if "stabilize" in config:
@@ -183,10 +179,16 @@ def _apply_config(commands: dict[str, argparse.ArgumentParser], config: dict[str
     if config.get("format", _FORMATS[0]) not in _FORMATS:
         raise _UsageError(f"format wants one of {', '.join(_FORMATS)}, got {config['format']!r}")
     unknown = set(overrides)
-    for sp in commands.values():
+    for name, sp in sorted(commands.items(), key=lambda item: item[0] != run):
         dests = vars(sp.parse_args([]))  # every key this subcommand parses
         sp.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
         unknown -= dests.keys()
+        sp.exit_on_error = False
+        try:
+            sp.parse_args([])
+        except argparse.ArgumentError as exc:
+            key = exc.argument_name.lstrip("-").replace("-", "_")
+            commands[run].error(f"{exc} (config key {key}, read by {name})")
     if unknown:
         raise _UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
@@ -262,20 +264,10 @@ def _warning_printer(show):
 def main(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     try:
-        config = _config_parser().parse_known_args(argv)[0].config
-        if config is not None:
-            _apply_config(commands, _read_config(config))
         args = parser.parse_args(argv)
-        if config is not None:
-            # Type every config value, even one a flag overrides or only another
-            # subcommand reads, the command run first; an error names the key.
-            for name in sorted(commands, key=lambda name: name != args.command):
-                commands[name].exit_on_error = False
-                try:
-                    commands[name].parse_args([])
-                except argparse.ArgumentError as exc:
-                    key = exc.argument_name.lstrip("-").replace("-", "_")
-                    commands[args.command].error(f"{exc} (config key {key}, read by {name})")
+        if args.config is not None:
+            _apply_config(commands, _read_config(args.config), args.command)
+            args = parser.parse_args(argv)
         ignored = _ignored_parts(args)
         if ignored:
             print(f"udiscrim: warning: {args.command} ignores {' and '.join(ignored)}",

@@ -9,6 +9,7 @@ import pytest
 
 import udiscrim
 from udiscrim import cli, sweeps
+from udiscrim.montecarlo import InvariantViolation
 from udiscrim.sweeps import MAX_POINTS, MAX_STATES
 
 FAST = ["--trials", "400", "--blocks", "2", "--dark", "0", "--vis1", "1", "--vis2", "1"]
@@ -203,6 +204,20 @@ class TestConfigFile:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert run(["--config", tmp_path / "absent.cfg", "sweep-intensity"]) == 2
 
+    def test_command_line_error_comes_before_the_config_file(self, tmp_path, capsys):
+        assert run(["--config", tmp_path / "absent.cfg", "nstate", "--t0", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --t0 0.5" in err
+        assert "config" not in err.splitlines()[-1]
+
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.cfg").write_text("eta1 0.5\n")
+        assert run(["--config", "bad.cfg", "nstate", "--out", "x.csv", *NSTATE_FAST]) == 2
+        assert capsys.readouterr().err == (
+            "udiscrim: error: bad.cfg:1: expected key=value, got 'eta1 0.5'\n")
+        assert not Path("x.csv").exists()
+
     @pytest.mark.parametrize(
         "line, args, code, err",
         [
@@ -239,6 +254,14 @@ class TestFailureModes:
 
     def test_negative_alpha_is_usage_error(self):
         assert run(["sweep-phase", "--alpha1", "-1:0", *FAST]) == 2
+
+    def test_negative_alpha_reaches_the_amplitude_check(self, tmp_path, capsys):
+        # The joined form gets past argparse, which takes "-1:0" for a flag.
+        out = tmp_path / "x.csv"
+        assert run(["nstate", "--alpha1=-1:0", "--out", out, *NSTATE_FAST]) == 2
+        assert ("argument --alpha1: mean photon number must be >= 0, got -1.0"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_bad_n_is_usage_error(self, tmp_path):
         assert run(["nstate", "--n", "1", "--out", tmp_path / "x.csv", *NSTATE_FAST]) == 2
@@ -359,6 +382,16 @@ class TestFailureModes:
         assert run([*args, *NSTATE_FAST]) == 2
         assert "drift sigma 1e+308" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_invariant_violation_exits_4(self, monkeypatch, tmp_path, capsys):
+        def broken(*_args, **_kwargs):
+            raise InvariantViolation("outcome buckets sum to 3, expected 5")
+
+        monkeypatch.setattr(sweeps, "run_experiment", broken)
+        assert run(["nstate", "--n", "2", "--out", tmp_path / "x.csv", *NSTATE_FAST]) == 4
+        err = capsys.readouterr().err
+        assert err == "udiscrim: invariant violation: outcome buckets sum to 3, expected 5\n"
+        assert "Traceback" not in err
 
     def test_blind_detector_with_lock_runs(self, tmp_path, capsys):
         out = tmp_path / "blind.csv"
