@@ -42,10 +42,11 @@ def _config(priors, programs=(1.0 + 0j, -1.0 + 0j), detectors=1):
         lambda: StabilizerConfig(dither=math.nan),
         lambda: _config((math.nan, 1.0)),
         lambda: _config((1.0, math.nan)),
+        lambda: SplitterPlan(math.nan),
     ],
     ids=[
         "dark-nan", "dark-inf", "sigma-nan", "sigma-inf", "dither-nan",
-        "prior-nan-first", "prior-nan-last",
+        "prior-nan-first", "prior-nan-last", "t0-nan",
     ],
 )
 def test_non_finite_input_is_rejected(build):
