@@ -83,10 +83,6 @@ _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _amplitude(text: str) -> tuple[float, float | None]:
     """Parse ``n:deg`` into (mean photons per pulse, phase in degrees); the
     phase is None when ``:deg`` is left out and then means 0."""
@@ -150,14 +146,14 @@ def _read_config(path: Path) -> dict[str, str]:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -174,10 +170,10 @@ def _apply_config(commands: dict[str, argparse.ArgumentParser], config: dict[str
     overrides: dict[str, object] = dict(config)
     if "stabilize" in config:
         if config["stabilize"].lower() not in _TRUE_WORDS + _FALSE_WORDS:
-            raise _UsageError(f"stabilize wants true/false, got {config['stabilize']!r}")
+            raise ValueError(f"stabilize wants true/false, got {config['stabilize']!r}")
         overrides["stabilize"] = config["stabilize"].lower() in _TRUE_WORDS
     if config.get("format", _FORMATS[0]) not in _FORMATS:
-        raise _UsageError(f"format wants one of {', '.join(_FORMATS)}, got {config['format']!r}")
+        raise ValueError(f"format wants one of {', '.join(_FORMATS)}, got {config['format']!r}")
     unknown = set(overrides)
     for name, sp in sorted(commands.items(), key=lambda item: item[0] != run):
         dests = vars(sp.parse_args([]))  # every key this subcommand parses
@@ -190,7 +186,7 @@ def _apply_config(commands: dict[str, argparse.ArgumentParser], config: dict[str
             key = exc.argument_name.lstrip("-").replace("-", "_")
             commands[run].error(f"{exc} (config key {key}, read by {name})")
     if unknown:
-        raise _UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
 def _params_from(args: argparse.Namespace) -> ScenarioParams:
@@ -226,7 +222,7 @@ def _build_tables(args: argparse.Namespace) -> list[tuple[Table, Path]]:
     out = args.out or Path(f"{args.command.replace('-', '_')}.{args.format}")
     if args.command == "nstate":
         if not 2 <= args.n <= MAX_STATES:
-            raise _UsageError(f"--n must lie in [2, {MAX_STATES}], got {args.n}")
+            raise ValueError(f"--n must lie in [2, {MAX_STATES}], got {args.n}")
         return [(run(args.n, params, args.workers), out)]
     spec = SweepSpec(args.start, args.stop, args.points)
     if args.command == "sweep-phase" and args.alpha1 is None and args.alpha2 is None:
@@ -281,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(path)
     except SystemExit as exc:  # argparse has printed help or a usage error
         return int(exc.code) if exc.code else 0
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"udiscrim: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -50,6 +50,7 @@ import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -465,12 +466,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     # More threads than chunks per block or than cores would only wait.
     chunks = -(-cfg.trials_per_block // _CHUNK)
     threads = min(workers, chunks, os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         block_counts = tuple(_run_block(cfg, b, history[b], tally, pool) for b in range(cfg.blocks))
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return ExperimentResult(
         counts=sum(block_counts[1:], block_counts[0]),
         block_counts=block_counts,

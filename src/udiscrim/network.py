@@ -17,7 +17,6 @@ splitter of transmittance n/(n+1).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -49,7 +48,7 @@ class SplitterPlan:
     t0: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.t0 <= 1.0) or math.isnan(self.t0):
+        if not 0.0 <= self.t0 <= 1.0:
             raise ValueError(f"t0 must lie in [0, 1], got {self.t0}")
         if self.t0 in (0.0, 1.0):
             # Past this method and the dataclass-generated __init__.

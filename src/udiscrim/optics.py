@@ -27,7 +27,7 @@ class BeamSplitter:
     sqrt_r: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.transmittance <= 1.0) or math.isnan(self.transmittance):
+        if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError(f"transmittance must lie in [0, 1], got {self.transmittance}")
         object.__setattr__(self, "sqrt_t", math.sqrt(self.transmittance))
         object.__setattr__(self, "sqrt_r", math.sqrt(1.0 - self.transmittance))

@@ -71,11 +71,9 @@ def svg_bytes(table: Table, title: str | None = None, x_label: str = "x") -> byt
         y = min(max(y, 0.0), 1.0)
         return _MARGIN_TOP + (1.0 - y) * plot_h
 
-    line_cols = [c for c in table.columns[1:] if c.startswith("analytic")]
-    marker_cols = [
-        c
-        for c in table.columns[1:]
-        if c.startswith("p_") and not c.startswith("p_inconclusive")
+    # Analytic lines first, then measured markers, each with a legend entry.
+    series = [c for c in table.columns[1:] if c.startswith("analytic")] + [
+        c for c in table.columns[1:] if c.startswith("p_") and not c.startswith("p_inconclusive")
     ]
 
     parts = [
@@ -121,52 +119,41 @@ def svg_bytes(table: Table, title: str | None = None, x_label: str = "x") -> byt
     )
 
     legend_x = _MARGIN_LEFT + plot_w + 18
-    legend_y = _MARGIN_TOP + 10
-    series_index = 0
-
-    for name in line_cols:
-        color = _PALETTE[series_index % len(_PALETTE)]
-        series_index += 1
-        pts = " ".join(
-            f"{px(row[0]):.2f},{py(row[cols[name]]):.2f}" for row in table.rows
-        )
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>'
-        )
-        parts.append(
-            f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 22}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{legend_y + 4}" font-size="12" '
-            f'font-family="sans-serif">{_escape(name)}</text>'
-        )
-        legend_y += 20
-
-    for name in marker_cols:
-        color = _PALETTE[series_index % len(_PALETTE)]
-        series_index += 1
-        se_name = f"se_{name}"
-        for row in table.rows:
-            x = px(row[0])
-            y = py(row[cols[name]])
-            if se_name in cols:
-                se = row[cols[se_name]]
-                y_lo = py(row[cols[name]] - se)
-                y_hi = py(row[cols[name]] + se)
-                parts.append(
-                    f'<line x1="{x:.2f}" y1="{y_hi:.2f}" x2="{x:.2f}" y2="{y_lo:.2f}" '
-                    f'stroke="{color}" stroke-width="1"/>'
-                )
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>')
-        parts.append(
-            f'<circle cx="{legend_x + 11}" cy="{legend_y}" r="3" fill="{color}"/>'
-        )
+    for i, name in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        legend_y = _MARGIN_TOP + 10 + 20 * i
+        if name.startswith("analytic"):
+            pts = " ".join(
+                f"{px(row[0]):.2f},{py(row[cols[name]]):.2f}" for row in table.rows
+            )
+            parts.append(
+                f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>'
+            )
+            parts.append(
+                f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 22}" y2="{legend_y}" '
+                f'stroke="{color}" stroke-width="2"/>'
+            )
+        else:
+            se_name = f"se_{name}"
+            for row in table.rows:
+                x = px(row[0])
+                y = py(row[cols[name]])
+                if se_name in cols:
+                    se = row[cols[se_name]]
+                    y_lo = py(row[cols[name]] - se)
+                    y_hi = py(row[cols[name]] + se)
+                    parts.append(
+                        f'<line x1="{x:.2f}" y1="{y_hi:.2f}" x2="{x:.2f}" y2="{y_lo:.2f}" '
+                        f'stroke="{color}" stroke-width="1"/>'
+                    )
+                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>')
+            parts.append(
+                f'<circle cx="{legend_x + 11}" cy="{legend_y}" r="3" fill="{color}"/>'
+            )
         parts.append(
             f'<text x="{legend_x + 28}" y="{legend_y + 4}" font-size="12" '
             f'font-family="sans-serif">{_escape(name)}</text>'
         )
-        legend_y += 20
 
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("ascii")
