@@ -14,6 +14,7 @@ Probe pulses never enter the measurement statistics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ class StabilizerConfig:
     gain: float = 0.7
 
     def __post_init__(self) -> None:
-        if self.probe_trials <= 0:
-            raise ValueError("stabilizer needs probe_trials >= 1")
+        if not isinstance(self.probe_trials, numbers.Integral) or self.probe_trials < 1:
+            raise ValueError(f"probe_trials must be an integer >= 1, got {self.probe_trials}")
         if not (0.0 < self.dither < math.inf):
             raise ValueError(f"dither must be finite and positive, got {self.dither}")
         if not (0.0 < self.gain <= 1.0):

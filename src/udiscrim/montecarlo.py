@@ -45,7 +45,9 @@ that path builds no splitter per call.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 import os
 import threading
 from collections.abc import Callable
@@ -173,6 +175,9 @@ class ExperimentConfig:
         n = len(self.programs)
         if n < 2:
             raise ValueError("need at least two program states")
+        for j, alpha in enumerate(self.programs):
+            if not cmath.isfinite(alpha):
+                raise ValueError(f"programs[{j}] must be finite, got {alpha}")
         if self.plan.n_ports != n:
             raise ValueError(f"plan serves {self.plan.n_ports} states, got {n} programs")
         object.__setattr__(self, "detectors", _broadcast(self.detectors, n, "detectors"))
@@ -185,6 +190,11 @@ class ExperimentConfig:
             # The range test is written so that NaN fails it.
             if not all(0.0 <= p <= 1.0 for p in self.priors) or abs(sum(self.priors) - 1.0) > 1e-9:
                 raise ValueError("priors must be nonnegative and sum to 1")
+        for name in ("trials_per_block", "blocks", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
         if self.trials_per_block < 1 or self.blocks < 1:
             raise ValueError("need at least one block of at least one trial")
         if self.blocks > MAX_BLOCKS or self.trials_per_block > MAX_TRIALS_PER_BLOCK:

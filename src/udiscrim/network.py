@@ -17,6 +17,7 @@ splitter of transmittance n/(n+1).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -99,8 +100,8 @@ class NStatePlan:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 program states, got n={self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise ValueError(f"need an integer n >= 2, got n={self.n}")
 
     @property
     def stage_transmittance(self) -> float:

@@ -11,6 +11,7 @@ columns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ class SweepSpec:
     points: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.points <= MAX_POINTS:
-            raise ValueError(f"need 2 to {MAX_POINTS} points, got {self.points}")
+        if not isinstance(self.points, numbers.Integral) or not 2 <= self.points <= MAX_POINTS:
+            raise ValueError(f"need an integer of 2 to {MAX_POINTS} points, got {self.points}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("sweep range must be finite")
 
@@ -112,6 +113,9 @@ class Table:
 
 
 def _subseed(seed: int, *tags: int) -> int:
+    # Every sweep derives its experiment seeds here first.
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
     return int(np.random.SeedSequence((seed, *tags)).generate_state(1, np.uint64)[0])
 
 
@@ -244,6 +248,8 @@ def nstate_report(
     evenly in phase; detector 1's efficiency and loop 1's visibility apply
     to every port.  The k column is the 1-based hypothesis label.
     """
+    if not 2 <= n <= MAX_STATES:
+        raise ValueError(f"need 2 to {MAX_STATES} program states, got n={n}")
     plan = NStatePlan(n)
     if programs is None:
         programs = ring_programs(n, params.intensity1, params.phase1_deg)

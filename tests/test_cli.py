@@ -101,6 +101,22 @@ class TestHappyPaths:
         with pytest.raises(UserWarning, match="not from udiscrim"):
             run(["nstate", "--n", "2", "--out", tmp_path / "x.csv", *NSTATE_FAST])
 
+    def test_foreign_warning_reaches_the_original_printer(self, monkeypatch, tmp_path, capsys):
+        shown = []
+
+        def tables(_args):
+            warnings.warn("not from udiscrim")
+            return []
+
+        monkeypatch.setattr(cli, "_build_tables", tables)
+        with warnings.catch_warnings():  # restores showwarning afterwards
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda *args: shown.append(args)
+            assert run(["nstate", "--n", "2", "--out", tmp_path / "x.csv", *NSTATE_FAST]) == 0
+        [(message, category, filename, *_)] = shown
+        assert (str(message), category, filename) == ("not from udiscrim", UserWarning, __file__)
+        assert "udiscrim: warning:" not in capsys.readouterr().err
+
     def test_ignored_amplitude_part_from_config_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha2=0.7:100\n")
@@ -262,6 +278,10 @@ class TestFailureModes:
         assert ("argument --alpha1: mean photon number must be >= 0, got -1.0"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        assert run(["nstate", "--seed", "-5", "--out", tmp_path / "x.csv", *NSTATE_FAST]) == 2
+        assert "udiscrim: error: seed must be an integer >= 0, got -5" in capsys.readouterr().err
 
     def test_bad_n_is_usage_error(self, tmp_path):
         assert run(["nstate", "--n", "1", "--out", tmp_path / "x.csv", *NSTATE_FAST]) == 2

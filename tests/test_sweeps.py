@@ -5,9 +5,11 @@ import pytest
 
 from udiscrim.detection import DetectorModel, analytic_nstate_success
 from udiscrim.montecarlo import binomial_stderr
+from udiscrim import sweeps
 from udiscrim.network import NStatePlan
 from udiscrim.sweeps import (
     MAX_POINTS,
+    MAX_STATES,
     NSTATE_COLUMNS,
     RESULT_COLUMNS,
     ScenarioParams,
@@ -189,6 +191,15 @@ class TestNStateReport:
             table = nstate_report(n, params)
             succ.append(column(table, "analytic_success")[0])
         assert all(b < a for a, b in zip(succ, succ[1:]))
+
+    def test_state_count_is_capped_before_the_ring_is_built(self, monkeypatch):
+        def tripwire(*_args, **_kwargs):
+            pytest.fail("state count reached ring_programs unchecked")
+
+        monkeypatch.setattr(sweeps, "ring_programs", tripwire)
+        for n in (1, MAX_STATES + 1):
+            with pytest.raises(ValueError, match=f"got n={n}"):
+                nstate_report(n, ScenarioParams(trials=10, blocks=1))
 
     def test_program_count_must_match(self):
         with pytest.raises(ValueError):

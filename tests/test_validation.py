@@ -7,6 +7,7 @@ phase history the same way.
 
 import math
 
+import numpy as np
 import pytest
 
 from udiscrim.detection import (
@@ -18,17 +19,19 @@ from udiscrim.detection import (
 from udiscrim.drift import DriftModel, StabilizerConfig
 from udiscrim.montecarlo import ExperimentConfig
 from udiscrim.network import NStatePlan, SplitterPlan, nstate_port_contributions
+from udiscrim.sweeps import SweepSpec
 
 RING = (1.0 + 0j, 1j, -1.0 + 0j)
 
 
-def _config(priors, programs=(1.0 + 0j, -1.0 + 0j), detectors=1):
+def _config(priors, programs=(1.0 + 0j, -1.0 + 0j), detectors=1, **sizes):
     return ExperimentConfig(
         programs=programs,
         plan=SplitterPlan(0.5),
         detectors=(DetectorModel(0.53),) * detectors,
         interference=(InterferenceModel(1.0),),
         priors=priors,
+        **sizes,
     )
 
 
@@ -75,8 +78,36 @@ def test_non_finite_input_is_rejected(build):
                      "expected 3 program states", id="analytic-programs-length"),
         pytest.param(lambda: analytic_nstate_success(RING, 3, NStatePlan(3), DetectorModel(0.5)),
                      "out of range", id="analytic-k-equals-n"),
+        pytest.param(lambda: _config(None, programs=(complex(math.nan, 0), -1.0 + 0j)),
+                     r"programs\[0\]", id="program-nan"),
+        pytest.param(lambda: _config(None, programs=(1.0 + 0j, complex(0, math.inf))),
+                     r"programs\[1\]", id="program-inf"),
+        # Counts and seeds are integers: a fraction or NaN is named, not
+        # left to fail later with a TypeError.
+        pytest.param(lambda: StabilizerConfig(probe_trials=2.5), "probe_trials",
+                     id="probe-trials-fraction"),
+        pytest.param(lambda: _config(None, trials_per_block=2.5), "trials_per_block",
+                     id="trials-fraction"),
+        pytest.param(lambda: _config(None, trials_per_block=math.nan), "trials_per_block",
+                     id="trials-nan"),
+        pytest.param(lambda: _config(None, blocks=2.5), "blocks", id="blocks-fraction"),
+        pytest.param(lambda: _config(None, blocks=math.nan), "blocks", id="blocks-nan"),
+        pytest.param(lambda: _config(None, seed=2.5), "seed", id="seed-fraction"),
+        pytest.param(lambda: _config(None, seed=math.nan), "seed", id="seed-nan"),
+        pytest.param(lambda: _config(None, seed=-1), "seed", id="seed-negative"),
+        pytest.param(lambda: NStatePlan(2.5), "integer n", id="nstate-fraction"),
+        pytest.param(lambda: SweepSpec(0.0, 1.0, 2.5), "points", id="points-fraction"),
     ],
 )
 def test_inconsistent_input_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_numpy_integers_are_accepted():
+    two, three = np.int64(2), np.int32(3)
+    assert StabilizerConfig(probe_trials=three).probe_trials == 3
+    cfg = _config(None, trials_per_block=three, blocks=two, seed=np.uint64(2**63))
+    assert cfg.total_trials == 6
+    assert NStatePlan(three).n_ports == 3
+    assert len(SweepSpec(0.0, 1.0, two).grid()) == 2
