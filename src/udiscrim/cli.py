@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .montecarlo import InvariantViolation
 from .output import emit
-from .sweeps import MAX_STATES, ScenarioParams, SweepSpec, Table
+from .sweeps import ScenarioParams, SweepSpec, Table
 from .sweeps import nstate_report, sweep_intensity, sweep_phase, sweep_ratio  # run by name
 
 
@@ -221,8 +221,6 @@ def _build_tables(args: argparse.Namespace) -> list[tuple[Table, Path]]:
     params = _params_from(args)
     out = args.out or Path(f"{args.command.replace('-', '_')}.{args.format}")
     if args.command == "nstate":
-        if not 2 <= args.n <= MAX_STATES:
-            raise ValueError(f"--n must lie in [2, {MAX_STATES}], got {args.n}")
         return [(run(args.n, params, args.workers), out)]
     spec = SweepSpec(args.start, args.stop, args.points)
     if args.command == "sweep-phase" and args.alpha1 is None and args.alpha2 is None:

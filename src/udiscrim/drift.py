@@ -21,6 +21,9 @@ import numpy as np
 
 from .detection import DetectorModel, click_probability
 
+# The same bound as a block's trials; numpy's binomial draw takes a C long.
+MAX_PROBE_TRIALS = 10**10
+
 
 @dataclass(frozen=True)
 class DriftModel:
@@ -42,8 +45,9 @@ class StabilizerConfig:
     gain: float = 0.7
 
     def __post_init__(self) -> None:
-        if not isinstance(self.probe_trials, numbers.Integral) or self.probe_trials < 1:
-            raise ValueError(f"probe_trials must be an integer >= 1, got {self.probe_trials}")
+        m = self.probe_trials
+        if not isinstance(m, numbers.Integral) or not 1 <= m <= MAX_PROBE_TRIALS:
+            raise ValueError(f"probe_trials must be an integer of 1 to {MAX_PROBE_TRIALS}, got {m}")
         if not (0.0 < self.dither < math.inf):
             raise ValueError(f"dither must be finite and positive, got {self.dither}")
         if not (0.0 < self.gain <= 1.0):
@@ -65,6 +69,16 @@ class ProbeModel:
     program_intensity: float
     visibility: float
     detector: DetectorModel
+
+    def __post_init__(self) -> None:
+        # The range tests are written so that NaN fails them.
+        for name in ("coupling", "visibility"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not (0.0 <= self.program_intensity < math.inf):
+            raise ValueError(
+                f"program_intensity must be finite and >= 0, got {self.program_intensity}"
+            )
 
     def dark_port_mean_photons(self, phi: float) -> float:
         base = self.coupling * self.program_intensity
@@ -149,6 +163,11 @@ def simulate_drift_paths(
     """
     if stabilizer is not None and probe is None:
         raise ValueError("stabilized paths need a ProbeModel")
+    for name, count in (("blocks", blocks), ("paths", paths)):
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
     drift = DriftModel(sigma)
     out = np.empty((paths, blocks), dtype=float)
     for p in range(paths):

@@ -31,9 +31,9 @@ slices of about ``_SLICE_DRAWS`` draws that add into one (n, n + 2) table
 of counts by truth and class; they read the stream in order, so the counts
 do not depend on the slice size.  A block adds its chunks' tables and
 builds its ``Counts`` once; their partition check is the block invariant.
-A run builds one thread-local ``_Tally``: what no block changes, and in
-each worker thread one slice-sized draw buffer and one Philox generator
-with its fresh state, kept for the run, so memory does not grow with the
+A run builds one thread-local ``_Tally``: each worker thread keeps what
+no block changes, one slice-sized draw buffer and one Philox generator
+with its fresh state for the run, so memory does not grow with the
 block size.  Philox is counter based: restoring that state and calling
 ``advance``, as ``run_trial`` does, gives a fresh generator's stream.
 
@@ -178,8 +178,8 @@ class ExperimentConfig:
         for j, alpha in enumerate(self.programs):
             if not cmath.isfinite(alpha):
                 raise ValueError(f"programs[{j}] must be finite, got {alpha}")
-        if self.plan.n_ports != n:
-            raise ValueError(f"plan serves {self.plan.n_ports} states, got {n} programs")
+        if len(self.plan.couplings) != n:
+            raise ValueError(f"plan serves {len(self.plan.couplings)} states, got {n} programs")
         object.__setattr__(self, "detectors", _broadcast(self.detectors, n, "detectors"))
         object.__setattr__(self, "interference", _broadcast(self.interference, n, "interference"))
         if self.priors is None:
@@ -191,8 +191,11 @@ class ExperimentConfig:
             if not all(0.0 <= p <= 1.0 for p in self.priors) or abs(sum(self.priors) - 1.0) > 1e-9:
                 raise ValueError("priors must be nonnegative and sum to 1")
         for name in ("trials_per_block", "blocks", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value}")
+            # Python ints: Philox.advance rejects numpy integers.
+            object.__setattr__(self, name, int(value))
         if self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
         if self.trials_per_block < 1 or self.blocks < 1:
@@ -300,22 +303,19 @@ def _streams(seed: int) -> tuple[np.random.SeedSequence, np.random.Generator, np
 class _Tally(threading.local):
     """One experiment's chunk kernel and the state each thread keeps for it.
 
-    Python runs ``__init__`` once in each thread that uses the object; the
-    first call fills the slots, which hold what no block changes and are
-    shared by every thread.  Each call builds its thread's Philox generator
-    and saves the fresh state.  Buffers come with a thread's first chunk,
-    so the thread that builds the object holds none it never uses.
+    Python runs ``__init__`` once in each thread that uses the object, and
+    every attribute is that thread's own: each call computes what no block
+    changes, builds the thread's Philox generator and saves its fresh state.
+    Buffers come with a thread's first chunk, so the thread that builds the
+    object holds none it never uses.
     """
 
-    __slots__ = ("stride", "step", "cdf", "truth", "weights", "classes")
-
     def __init__(self, cfg: ExperimentConfig, meas_ss: np.random.SeedSequence) -> None:
-        if not hasattr(self, "classes"):
-            self.stride = _stride(cfg.n_states)
-            self.step = max(1, _SLICE_DRAWS // self.stride)
-            self.cdf = _prior_cdf(cfg.priors)
-            self.truth = _constant_truth(self.cdf)
-            self.weights, self.classes = _class_table(cfg.n_states)
+        self.stride = _stride(cfg.n_states)
+        self.step = max(1, _SLICE_DRAWS // self.stride)
+        self.cdf = _prior_cdf(cfg.priors)
+        self.truth = _constant_truth(self.cdf)
+        self.weights, self.classes = _class_table(cfg.n_states)
         self.gen = np.random.Generator(np.random.Philox(meas_ss))
         self.fresh = self.gen.bit_generator.state
 
@@ -457,8 +457,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     over threads; the counts are identical for every worker count.  No
     more threads start than a block has chunks or the machine has cores.
     """
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers}")
     meas_ss, drift_rng, stab_rng = _streams(cfg.seed)
     probes = None if cfg.stabilizer is None else _probe_models(cfg)
     phases = np.zeros(cfg.n_states)

@@ -66,10 +66,6 @@ class SplitterPlan:
     def t2(self) -> float:
         return (1.0 - self.t0) / (2.0 - self.t0)
 
-    @property
-    def n_ports(self) -> int:
-        return 2
-
     @cached_property
     def splitters(self) -> tuple[BeamSplitter, BeamSplitter, BeamSplitter]:
         """The input splitter and the splitters of loops 1 and 2."""
@@ -107,14 +103,6 @@ class NStatePlan:
     def stage_transmittance(self) -> float:
         return self.n / (self.n + 1)
 
-    @property
-    def stage_reflectance(self) -> float:
-        return 1.0 / (self.n + 1)
-
-    @property
-    def n_ports(self) -> int:
-        return self.n
-
     @cached_property
     def taps(self) -> tuple[BeamSplitter, ...]:
         """The tap chain of the equal split: tap k keeps (n-k-1)/(n-k)."""
@@ -129,7 +117,7 @@ class NStatePlan:
     @property
     def couplings(self) -> tuple[float, ...]:
         """Intensity share each interfering field keeps at every port, 1/(n+1)."""
-        return (self.stage_reflectance,) * self.n
+        return (1.0 / (self.n + 1),) * self.n
 
 
 Plan = SplitterPlan | NStatePlan

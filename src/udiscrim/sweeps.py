@@ -229,6 +229,8 @@ def sweep_ratio(spec: SweepSpec, params: ScenarioParams, workers: int = 1) -> Ta
 
 def ring_programs(n: int, intensity: float, phase_deg: float = 0.0) -> tuple[ComplexAmplitude, ...]:
     """n program states of equal intensity spread evenly in phase."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need an integer n >= 1, got n={n}")
     base = math.radians(phase_deg)
     return tuple(
         from_intensity_phase(intensity, base + 2.0 * math.pi * k / n) for k in range(n)
@@ -253,8 +255,6 @@ def nstate_report(
     plan = NStatePlan(n)
     if programs is None:
         programs = ring_programs(n, params.intensity1, params.phase1_deg)
-    if len(programs) != n:
-        raise ValueError(f"expected {n} program states, got {len(programs)}")
     det = DetectorModel(params.eta1, params.dark)
     ideal_det = DetectorModel(params.eta1, 0.0)
     vis = InterferenceModel(params.vis1)

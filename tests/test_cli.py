@@ -178,6 +178,76 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+# A value for every flag any command reads, and a second value that must
+# change the output of every command that reads the flag.  Both amplitudes
+# are given, so that no change is a global phase turn, which leaves the
+# bytes as they are.  With the drift on, the lock moves the phases.
+BASE = {
+    "t0": 0.5, "eta1": 0.53, "eta2": 0.53, "dark": 0.0, "vis1": 0.98, "vis2": 0.98,
+    "trials": 200, "blocks": 2, "seed": 1, "drift_sigma": 0.2, "stabilize": False,
+    "alpha1": (1.0, 10.0), "alpha2": (0.7, 200.0),
+}
+CHANGED = {
+    "t0": 0.3, "eta1": 0.8, "eta2": 0.8, "dark": 0.05, "vis1": 0.7, "vis2": 0.7,
+    "trials": 201, "blocks": 3, "seed": 2, "drift_sigma": 0.5, "stabilize": True,
+}
+GRIDS = {
+    "sweep-phase": ["--points", "2", "--start", "60", "--stop", "150"],
+    "sweep-intensity": ["--points", "2", "--start", "0.5", "--stop", "1.5"],
+    "sweep-ratio": ["--points", "2", "--start", "0.5", "--stop", "1.5"],
+    "nstate": ["--n", "2"],
+}
+
+
+def _changed_part(value, part):
+    intensity, phase = value
+    return (0.4, phase) if part == "intensity" else (intensity, phase + 40.0)
+
+
+def _output(tmp_path, command, **changes):
+    """The CSV bytes of ``command`` run with every flag it reads at its BASE
+    value, except for ``changes``."""
+    out = tmp_path / "out.csv"
+    args = [command, *GRIDS[command], "--out", out]
+    for name in cli._COMMANDS[command].flags:
+        value = changes.get(name, BASE[name])
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, tuple):
+            args += [flag, f"{value[0]}:{value[1]}"]
+        elif value is True:
+            args.append(flag)
+        elif value is not False:
+            args += [flag, value]
+    assert run(args) == 0
+    return out.read_bytes()
+
+
+class TestEveryAcceptedFlagIsRead:
+    """``_Command.flags`` is kept by hand beside the sweeps: every flag it
+    lists must change the output, and every part a sweep sets must not."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(name, flag) for name, command in cli._COMMANDS.items() for flag in command.flags],
+    )
+    def test_flag_changes_the_output(self, tmp_path, command, flag):
+        if flag in cli._AMPLITUDE_FLAGS:
+            swept = {part for f, part in cli._COMMANDS[command].swept if f == flag}
+            part = next(p for p in cli._AMPLITUDE_PARTS if p not in swept)
+            changed = _changed_part(BASE[flag], part)
+        else:
+            changed = CHANGED[flag]
+        assert _output(tmp_path, command, **{flag: changed}) != _output(tmp_path, command)
+
+    @pytest.mark.parametrize(
+        "command, flag, part",
+        [(name, *swept) for name, command in cli._COMMANDS.items() for swept in command.swept],
+    )
+    def test_swept_part_leaves_the_output(self, tmp_path, command, flag, part):
+        changed = _changed_part(BASE[flag], part)
+        assert _output(tmp_path, command, **{flag: changed}) == _output(tmp_path, command)
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -297,12 +367,15 @@ class TestFailureModes:
     )
     def test_huge_grid_is_usage_error(self, monkeypatch, tmp_path, args):
         # The caps must fire before anything is built: the sweeps that would
-        # allocate the grid or the programs are replaced by tripwires.
+        # allocate the grid, and what nstate_report builds after its cap,
+        # are replaced by tripwires.
         def tripwire(*_args, **_kwargs):
             pytest.fail("grid size reached a sweep unchecked")
 
-        for name in ("sweep_phase", "sweep_intensity", "nstate_report"):
+        for name in ("sweep_phase", "sweep_intensity"):
             monkeypatch.setattr(cli, name, tripwire)
+        for name in ("NStatePlan", "ring_programs", "run_experiment"):
+            monkeypatch.setattr(sweeps, name, tripwire)
         assert run([*args, "--out", tmp_path / "x.csv", *fast(args[0])]) == 2
 
     @pytest.mark.parametrize(

@@ -271,7 +271,7 @@ MATRIX_CASES = {
 
 def _matrix_digest(plan, seed, phases):
     rng = np.random.default_rng(seed)
-    n = plan.n_ports
+    n = len(plan.couplings)
     h = hashlib.sha256()
     for _ in range(5):
         cfg = _random_config(rng, n, plan)

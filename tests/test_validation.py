@@ -16,10 +16,16 @@ from udiscrim.detection import (
     analytic_nstate_success,
     nstate_success_from_distances,
 )
-from udiscrim.drift import DriftModel, StabilizerConfig
-from udiscrim.montecarlo import ExperimentConfig
+from udiscrim.drift import (
+    MAX_PROBE_TRIALS,
+    DriftModel,
+    ProbeModel,
+    StabilizerConfig,
+    simulate_drift_paths,
+)
+from udiscrim.montecarlo import ExperimentConfig, run_experiment
 from udiscrim.network import NStatePlan, SplitterPlan, nstate_port_contributions
-from udiscrim.sweeps import SweepSpec
+from udiscrim.sweeps import SweepSpec, ring_programs
 
 RING = (1.0 + 0j, 1j, -1.0 + 0j)
 
@@ -33,6 +39,13 @@ def _config(priors, programs=(1.0 + 0j, -1.0 + 0j), detectors=1, **sizes):
         priors=priors,
         **sizes,
     )
+
+
+def _probe(**fields):
+    return ProbeModel(**{
+        "coupling": 1 / 3, "program_intensity": 1.0, "visibility": 0.98,
+        "detector": DetectorModel(0.53), **fields,
+    })
 
 
 @pytest.mark.parametrize(
@@ -97,6 +110,42 @@ def test_non_finite_input_is_rejected(build):
         pytest.param(lambda: _config(None, seed=-1), "seed", id="seed-negative"),
         pytest.param(lambda: NStatePlan(2.5), "integer n", id="nstate-fraction"),
         pytest.param(lambda: SweepSpec(0.0, 1.0, 2.5), "points", id="points-fraction"),
+        pytest.param(lambda: run_experiment(_config(None), workers=2.5), "workers",
+                     id="workers-fraction"),
+        pytest.param(lambda: run_experiment(_config(None), workers=math.nan), "workers",
+                     id="workers-nan"),
+        pytest.param(lambda: simulate_drift_paths(0.1, 2.5, 2, 1), "blocks",
+                     id="drift-blocks-fraction"),
+        pytest.param(lambda: simulate_drift_paths(0.1, -1, 2, 1), "blocks",
+                     id="drift-blocks-negative"),
+        pytest.param(lambda: simulate_drift_paths(0.1, 2, 2.5, 1), "paths",
+                     id="drift-paths-fraction"),
+        pytest.param(lambda: simulate_drift_paths(0.1, 2, -1, 1), "paths",
+                     id="drift-paths-negative"),
+        pytest.param(lambda: simulate_drift_paths(0.1, 2, 0, 1), "paths", id="drift-paths-zero"),
+        pytest.param(lambda: simulate_drift_paths(0.1, 2, 2, 2.5), "seed",
+                     id="drift-seed-fraction"),
+        pytest.param(lambda: simulate_drift_paths(0.1, 2, 2, -1), "seed",
+                     id="drift-seed-negative"),
+        pytest.param(lambda: ring_programs(2.5, 1.0), "integer n", id="ring-n-fraction"),
+        pytest.param(lambda: ring_programs(0, 1.0), "integer n", id="ring-n-zero"),
+        # numpy's binomial draw takes a C long, so an uncapped count ends in
+        # an OverflowError inside the lock.
+        pytest.param(lambda: StabilizerConfig(probe_trials=2**63), "probe_trials",
+                     id="probe-trials-2-63"),
+        pytest.param(lambda: StabilizerConfig(probe_trials=MAX_PROBE_TRIALS + 1), "probe_trials",
+                     id="probe-trials-above-cap"),
+        pytest.param(lambda: _probe(coupling=-0.5), "coupling", id="probe-coupling-negative"),
+        pytest.param(lambda: _probe(coupling=2.0), "coupling", id="probe-coupling-above-one"),
+        pytest.param(lambda: _probe(coupling=math.nan), "coupling", id="probe-coupling-nan"),
+        pytest.param(lambda: _probe(visibility=1.5), "visibility", id="probe-visibility-above-one"),
+        pytest.param(lambda: _probe(visibility=math.nan), "visibility", id="probe-visibility-nan"),
+        pytest.param(lambda: _probe(program_intensity=math.inf), "program_intensity",
+                     id="probe-intensity-inf"),
+        pytest.param(lambda: _probe(program_intensity=math.nan), "program_intensity",
+                     id="probe-intensity-nan"),
+        pytest.param(lambda: _probe(program_intensity=-1.0), "program_intensity",
+                     id="probe-intensity-negative"),
     ],
 )
 def test_inconsistent_input_is_rejected(build, message):
@@ -109,5 +158,15 @@ def test_numpy_integers_are_accepted():
     assert StabilizerConfig(probe_trials=three).probe_trials == 3
     cfg = _config(None, trials_per_block=three, blocks=two, seed=np.uint64(2**63))
     assert cfg.total_trials == 6
-    assert NStatePlan(three).n_ports == 3
+    assert len(NStatePlan(three).couplings) == 3
     assert len(SweepSpec(0.0, 1.0, two).grid()) == 2
+
+
+def test_numpy_integer_counts_run():
+    # Philox.advance takes only Python ints, so a numpy trial count must not
+    # reach the trial offsets.
+    two, three = np.int64(2), np.int32(3)
+    cfg = _config(None, trials_per_block=three, blocks=two, seed=np.uint64(2**63))
+    assert run_experiment(cfg, workers=two).counts.c_tot == 6
+    assert simulate_drift_paths(0.1, two, three, two).shape == (3, 2)
+    assert len(ring_programs(three, 1.0)) == 3
