@@ -14,12 +14,12 @@ Probe pulses never enter the measurement statistics.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detection import DetectorModel, click_probability
+from .optics import as_integer
 
 # The same bound as a block's trials; numpy's binomial draw takes a C long.
 MAX_PROBE_TRIALS = 10**10
@@ -45,9 +45,8 @@ class StabilizerConfig:
     gain: float = 0.7
 
     def __post_init__(self) -> None:
-        m = self.probe_trials
-        if not isinstance(m, numbers.Integral) or not 1 <= m <= MAX_PROBE_TRIALS:
-            raise ValueError(f"probe_trials must be an integer of 1 to {MAX_PROBE_TRIALS}, got {m}")
+        m = as_integer("probe_trials", self.probe_trials, 1, MAX_PROBE_TRIALS)
+        object.__setattr__(self, "probe_trials", m)
         if not (0.0 < self.dither < math.inf):
             raise ValueError(f"dither must be finite and positive, got {self.dither}")
         if not (0.0 < self.gain <= 1.0):
@@ -163,11 +162,8 @@ def simulate_drift_paths(
     """
     if stabilizer is not None and probe is None:
         raise ValueError("stabilized paths need a ProbeModel")
-    for name, count in (("blocks", blocks), ("paths", paths)):
-        if not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {count}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    blocks, paths = as_integer("blocks", blocks, 1), as_integer("paths", paths, 1)
+    seed = as_integer("seed", seed, 0)
     drift = DriftModel(sigma)
     out = np.empty((paths, blocks), dtype=float)
     for p in range(paths):

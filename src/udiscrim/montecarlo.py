@@ -45,9 +45,7 @@ that path builds no splitter per call.
 
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 import os
 import threading
 from collections.abc import Callable
@@ -68,7 +66,7 @@ from .network import (
     outcome_from_clicks,
     port_contributions,
 )
-from .optics import ComplexAmplitude, intensity
+from .optics import ComplexAmplitude, as_integer, intensity
 
 _CHUNK = 1 << 16
 # Draws per slice of a chunk (393 KB; 4096 trials at n = 8).  A budget in
@@ -176,8 +174,9 @@ class ExperimentConfig:
         if n < 2:
             raise ValueError("need at least two program states")
         for j, alpha in enumerate(self.programs):
-            if not cmath.isfinite(alpha):
-                raise ValueError(f"programs[{j}] must be finite, got {alpha}")
+            # A finite intensity implies finite parts; NaN fails the test.
+            if not math.isfinite(intensity(alpha)):
+                raise ValueError(f"programs[{j}] must have a finite intensity, got {alpha}")
         if len(self.plan.couplings) != n:
             raise ValueError(f"plan serves {len(self.plan.couplings)} states, got {n} programs")
         object.__setattr__(self, "detectors", _broadcast(self.detectors, n, "detectors"))
@@ -190,21 +189,9 @@ class ExperimentConfig:
             # The range test is written so that NaN fails it.
             if not all(0.0 <= p <= 1.0 for p in self.priors) or abs(sum(self.priors) - 1.0) > 1e-9:
                 raise ValueError("priors must be nonnegative and sum to 1")
-        for name in ("trials_per_block", "blocks", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value}")
-            # Python ints: Philox.advance rejects numpy integers.
-            object.__setattr__(self, name, int(value))
-        if self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
-        if self.trials_per_block < 1 or self.blocks < 1:
-            raise ValueError("need at least one block of at least one trial")
-        if self.blocks > MAX_BLOCKS or self.trials_per_block > MAX_TRIALS_PER_BLOCK:
-            raise ValueError(
-                f"need at most {MAX_BLOCKS} blocks of at most {MAX_TRIALS_PER_BLOCK} trials, "
-                f"got {self.blocks} of {self.trials_per_block}"
-            )
+        for name, hi in (("trials_per_block", MAX_TRIALS_PER_BLOCK), ("blocks", MAX_BLOCKS)):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), 1, hi))
+        object.__setattr__(self, "seed", as_integer("seed", self.seed, 0))
 
     @property
     def n_states(self) -> int:
@@ -367,6 +354,7 @@ def run_trial(
 ) -> TrialOutcome:
     """Outcome of a single pulse, reproducing exactly what the vectorized
     engine does for the same (seed, trial index, phase errors)."""
+    trial_index = as_integer("trial_index", trial_index, 0)
     n = cfg.n_states
     phases = np.zeros(n) if phase_errors is None else np.asarray(phase_errors, dtype=float)
     matrix = click_matrix(cfg, phases)
@@ -444,7 +432,7 @@ def fractions_from_blocks(block_counts: tuple[Counts, ...]) -> Fractions:
         # order; the pinned bytes take the inconclusive spread as 1-D.
         se[-1] = f[:, -1].std(ddof=1) / math.sqrt(nb)
     else:
-        se = np.sqrt(p * (1.0 - p) / pooled[-1])
+        se = np.array([binomial_stderr(q, pooled[-1]) for q in p])
     return Fractions(p[:n], p[n:-1], float(p[-1]), se[:n], se[n:-1], float(se[-1]))
 
 
@@ -457,8 +445,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     over threads; the counts are identical for every worker count.  No
     more threads start than a block has chunks or the machine has cores.
     """
-    if not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers}")
+    workers = as_integer("workers", workers, 1)
     meas_ss, drift_rng, stab_rng = _streams(cfg.seed)
     probes = None if cfg.stabilizer is None else _probe_models(cfg)
     phases = np.zeros(cfg.n_states)

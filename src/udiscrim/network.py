@@ -17,7 +17,6 @@ splitter of transmittance n/(n+1).
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -27,6 +26,7 @@ from .optics import (
     BeamSplitter,
     ComplexAmplitude,
     apply_phase,
+    as_integer,
     bs_transform,
 )
 
@@ -96,8 +96,7 @@ class NStatePlan:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:
-            raise ValueError(f"need an integer n >= 2, got n={self.n}")
+        object.__setattr__(self, "n", as_integer("n", self.n, 2))
 
     @property
     def stage_transmittance(self) -> float:

@@ -2,16 +2,28 @@
 
 A coherent state is represented by one complex number; its squared modulus
 is the mean photon number per pulse.  The only elements needed here are
-phase shifters and lossless two-port beam splitters.
+phase shifters and lossless two-port beam splitters.  ``as_integer`` is the
+package's one check for counts, seeds and state numbers.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 ComplexAmplitude = complex
+
+
+def as_integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as a Python int, if it is a Python or numpy integer in
+    [lo, hi]; otherwise a ``ValueError`` naming ``name``.  Python ints,
+    since ``Philox.advance`` rejects numpy integers."""
+    if isinstance(value, numbers.Integral) and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    cap = "" if hi is None else f" and at most {hi}"
+    raise ValueError(f"{name} must be an integer >= {lo}{cap}, got {value}")
 
 
 @dataclass(frozen=True)

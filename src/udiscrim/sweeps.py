@@ -11,7 +11,6 @@ columns.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .detection import (
 from .drift import DriftModel, StabilizerConfig
 from .montecarlo import Counts, ExperimentConfig, fractions_from_blocks, run_experiment
 from .network import NStatePlan, Plan, SplitterPlan
-from .optics import ComplexAmplitude, from_intensity_phase
+from .optics import ComplexAmplitude, as_integer, from_intensity_phase
 
 # Grid caps, checked before anything is allocated.  Every sweep point runs
 # at least two experiments.  At n states every trial draws n + 1 numbers;
@@ -75,8 +74,7 @@ class SweepSpec:
     points: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.points, numbers.Integral) or not 2 <= self.points <= MAX_POINTS:
-            raise ValueError(f"need an integer of 2 to {MAX_POINTS} points, got {self.points}")
+        object.__setattr__(self, "points", as_integer("points", self.points, 2, MAX_POINTS))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("sweep range must be finite")
 
@@ -114,8 +112,7 @@ class Table:
 
 def _subseed(seed: int, *tags: int) -> int:
     # Every sweep derives its experiment seeds here first.
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    seed = as_integer("seed", seed, 0)
     return int(np.random.SeedSequence((seed, *tags)).generate_state(1, np.uint64)[0])
 
 
@@ -229,8 +226,7 @@ def sweep_ratio(spec: SweepSpec, params: ScenarioParams, workers: int = 1) -> Ta
 
 def ring_programs(n: int, intensity: float, phase_deg: float = 0.0) -> tuple[ComplexAmplitude, ...]:
     """n program states of equal intensity spread evenly in phase."""
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"need an integer n >= 1, got n={n}")
+    n = as_integer("n", n, 1)
     base = math.radians(phase_deg)
     return tuple(
         from_intensity_phase(intensity, base + 2.0 * math.pi * k / n) for k in range(n)

@@ -1,7 +1,10 @@
 """The package's export list: ``__init__`` names each export twice, in its
-imports and in ``__all__``, and the two must agree."""
+imports and in ``__all__``, and the two must agree.  And the integer rule
+for counts, seeds and state numbers has one owner, ``optics.as_integer``."""
 
+import re
 import types
+from pathlib import Path
 
 import udiscrim
 
@@ -19,3 +22,11 @@ def test_star_import_binds_every_listed_name():
     namespace = {}
     exec("from udiscrim import *", namespace)
     assert set(udiscrim.__all__) <= namespace.keys()
+
+
+def test_integer_rule_has_one_owner():
+    # A second hand-written integer test drifts from the first in bounds
+    # and message; every entry calls the owner instead.
+    sources = Path(udiscrim.__file__).parent.glob("*.py")
+    users = sorted(p.name for p in sources if re.search(r"\bIntegral\b", p.read_text()))
+    assert users == ["optics.py"]

@@ -2,15 +2,18 @@
 
 Hypothesis draws the network size, the priors, drift and the lock, and the
 block size; ``_CHUNK`` is patched small so that blocks split into several
-chunks and two workers really share them.  It also draws random networks
-for the null-port law and edge values for every numeric CLI flag.  The
-examples are derandomized, so every run checks the same cases.
+chunks and two workers really share them.  It also checks that a run is a
+prefix of any longer run, and draws random networks for the null-port law
+and edge values for every numeric CLI flag.  The examples are derandomized,
+so every run checks the same cases.
 """
 
 import contextlib
+import dataclasses
 import io
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from udiscrim import cli, montecarlo
@@ -21,7 +24,7 @@ from udiscrim.network import NStatePlan, SplitterPlan, detector_amplitudes, nsta
 from udiscrim.sweeps import ring_programs
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -71,6 +74,40 @@ def test_block_counts_do_not_depend_on_workers(cfg, chunk):
     for c in one.block_counts:
         assert min(c.c_plus + c.c_minus + (c.double_clicks, c.no_clicks)) >= 0
         assert c.conclusive + c.inconclusive == c.c_tot == cfg.trials_per_block
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from((2, 3)),
+    one_hot=st.booleans(),
+    drift=st.booleans(),
+    lock=st.booleans(),
+    workers=st.sampled_from((1, 2)),
+    k=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, one_hot=False, drift=False, lock=True, workers=1, k=1, seed=0)
+def test_a_run_is_a_prefix_of_any_longer_run(n, one_hot, drift, lock, workers, k, seed):
+    # Blocks depend on the seed and their index alone, never on how many
+    # blocks follow: a stream keyed by the run length would break this.
+    cfg = ExperimentConfig(
+        programs=ring_programs(n, 1.0),
+        plan=NStatePlan(n),
+        detectors=(DetectorModel(0.53, 0.01),),
+        interference=(InterferenceModel(0.98),),
+        priors=tuple(float(j == n - 1) for j in range(n)) if one_hot else None,
+        trials_per_block=250,
+        blocks=3,
+        seed=seed,
+        drift=DriftModel(0.2) if drift else None,
+        stabilizer=StabilizerConfig(probe_trials=200) if lock else None,
+    )
+    with mock.patch.object(montecarlo, "_CHUNK", 100):
+        whole = run_experiment(cfg, workers)
+        head = run_experiment(dataclasses.replace(cfg, blocks=k), workers)
+    assert head.block_counts == whole.block_counts[:k]
+    assert np.array_equal(head.phase_history, whole.phase_history[:k])
+    assert head.probe_pulses * cfg.blocks == whole.probe_pulses * k
 
 
 amplitudes = st.complex_numbers(max_magnitude=10.0, allow_subnormal=False)

@@ -23,7 +23,7 @@ from udiscrim.drift import (
     StabilizerConfig,
     simulate_drift_paths,
 )
-from udiscrim.montecarlo import ExperimentConfig, run_experiment
+from udiscrim.montecarlo import ExperimentConfig, run_experiment, run_trial
 from udiscrim.network import NStatePlan, SplitterPlan, nstate_port_contributions
 from udiscrim.sweeps import SweepSpec, ring_programs
 
@@ -95,6 +95,12 @@ def test_non_finite_input_is_rejected(build):
                      r"programs\[0\]", id="program-nan"),
         pytest.param(lambda: _config(None, programs=(1.0 + 0j, complex(0, math.inf))),
                      r"programs\[1\]", id="program-inf"),
+        # Finite parts whose squared modulus overflows: the run would book
+        # every trial as a double click.
+        pytest.param(lambda: _config(None, programs=(1e200, -1e200)), r"programs\[0\]",
+                     id="program-intensity-overflow"),
+        pytest.param(lambda: _config(None, programs=(1e160, 0.5)), r"programs\[0\]",
+                     id="program-intensity-overflow-one"),
         # Counts and seeds are integers: a fraction or NaN is named, not
         # left to fail later with a TypeError.
         pytest.param(lambda: StabilizerConfig(probe_trials=2.5), "probe_trials",
@@ -108,7 +114,7 @@ def test_non_finite_input_is_rejected(build):
         pytest.param(lambda: _config(None, seed=2.5), "seed", id="seed-fraction"),
         pytest.param(lambda: _config(None, seed=math.nan), "seed", id="seed-nan"),
         pytest.param(lambda: _config(None, seed=-1), "seed", id="seed-negative"),
-        pytest.param(lambda: NStatePlan(2.5), "integer n", id="nstate-fraction"),
+        pytest.param(lambda: NStatePlan(2.5), "n must be an integer", id="nstate-fraction"),
         pytest.param(lambda: SweepSpec(0.0, 1.0, 2.5), "points", id="points-fraction"),
         pytest.param(lambda: run_experiment(_config(None), workers=2.5), "workers",
                      id="workers-fraction"),
@@ -127,8 +133,10 @@ def test_non_finite_input_is_rejected(build):
                      id="drift-seed-fraction"),
         pytest.param(lambda: simulate_drift_paths(0.1, 2, 2, -1), "seed",
                      id="drift-seed-negative"),
-        pytest.param(lambda: ring_programs(2.5, 1.0), "integer n", id="ring-n-fraction"),
-        pytest.param(lambda: ring_programs(0, 1.0), "integer n", id="ring-n-zero"),
+        pytest.param(lambda: ring_programs(2.5, 1.0), "n must be an integer", id="ring-n-fraction"),
+        pytest.param(lambda: ring_programs(0, 1.0), "n must be an integer", id="ring-n-zero"),
+        pytest.param(lambda: run_trial(_config(None), -1), "trial_index", id="trial-index-negative"),
+        pytest.param(lambda: run_trial(_config(None), 2.5), "trial_index", id="trial-index-fraction"),
         # numpy's binomial draw takes a C long, so an uncapped count ends in
         # an OverflowError inside the lock.
         pytest.param(lambda: StabilizerConfig(probe_trials=2**63), "probe_trials",
@@ -170,3 +178,8 @@ def test_numpy_integer_counts_run():
     assert run_experiment(cfg, workers=two).counts.c_tot == 6
     assert simulate_drift_paths(0.1, two, three, two).shape == (3, 2)
     assert len(ring_programs(three, 1.0)) == 3
+
+
+def test_numpy_trial_index_replays_the_same_trial():
+    cfg = _config(None)
+    assert run_trial(cfg, np.int64(3)) == run_trial(cfg, 3)
