@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .network import NStatePlan
-from .optics import ComplexAmplitude, intensity
+from .optics import ComplexAmplitude, as_real, intensity
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,8 @@ class DetectorModel:
     dark_mean: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"quantum efficiency must lie in [0, 1], got {self.eta}")
-        if not (0.0 <= self.dark_mean < math.inf):
-            raise ValueError(f"dark_mean must be finite and >= 0, got {self.dark_mean}")
+        object.__setattr__(self, "eta", as_real("eta", self.eta, 0, 1))
+        object.__setattr__(self, "dark_mean", as_real("dark_mean", self.dark_mean, 0))
 
 
 @dataclass(frozen=True)
@@ -44,8 +42,7 @@ class InterferenceModel:
     visibility: float = 0.98
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.visibility <= 1.0):
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
+        object.__setattr__(self, "visibility", as_real("visibility", self.visibility, 0, 1))
 
 
 def port_mean_photons(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import DetectorModel, click_probability
-from .optics import as_integer
+from .optics import as_integer, as_real
 
 # The same bound as a block's trials; numpy's binomial draw takes a C long.
 MAX_PROBE_TRIALS = 10**10
@@ -32,8 +32,7 @@ class DriftModel:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.sigma < math.inf):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        object.__setattr__(self, "sigma", as_real("sigma", self.sigma, 0))
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,8 @@ class StabilizerConfig:
     def __post_init__(self) -> None:
         m = as_integer("probe_trials", self.probe_trials, 1, MAX_PROBE_TRIALS)
         object.__setattr__(self, "probe_trials", m)
-        if not (0.0 < self.dither < math.inf):
-            raise ValueError(f"dither must be finite and positive, got {self.dither}")
-        if not (0.0 < self.gain <= 1.0):
-            raise ValueError(f"gain must lie in (0, 1], got {self.gain}")
+        for name, hi in (("dither", math.inf), ("gain", 1)):
+            object.__setattr__(self, name, as_real(name, getattr(self, name), 0, hi, open_lo=True))
 
 
 @dataclass(frozen=True)
@@ -70,14 +67,8 @@ class ProbeModel:
     detector: DetectorModel
 
     def __post_init__(self) -> None:
-        # The range tests are written so that NaN fails them.
-        for name in ("coupling", "visibility"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if not (0.0 <= self.program_intensity < math.inf):
-            raise ValueError(
-                f"program_intensity must be finite and >= 0, got {self.program_intensity}"
-            )
+        for name, hi in (("coupling", 1), ("program_intensity", math.inf), ("visibility", 1)):
+            object.__setattr__(self, name, as_real(name, getattr(self, name), 0, hi))
 
     def dark_port_mean_photons(self, phi: float) -> float:
         base = self.coupling * self.program_intensity

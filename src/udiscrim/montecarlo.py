@@ -66,7 +66,7 @@ from .network import (
     outcome_from_clicks,
     port_contributions,
 )
-from .optics import ComplexAmplitude, as_integer, intensity
+from .optics import ComplexAmplitude, as_integer, as_real, intensity
 
 _CHUNK = 1 << 16
 # Draws per slice of a chunk (393 KB; 4096 trials at n = 8).  A budget in
@@ -82,6 +82,10 @@ _DRAWS_PER_COUNTER_STEP = 4
 # bounded by the slice size, not by the block.
 MAX_BLOCKS = 100_000
 MAX_TRIALS_PER_BLOCK = 10**10
+# Mean photons per program state.  Rounding lets a null port click with
+# probability ~1e-19 at 1e12 photons but ~1e-11 at 1e20, and the exclusion
+# law needs it far below one trial in MAX_BLOCKS * MAX_TRIALS_PER_BLOCK.
+MAX_INTENSITY = 1e12
 
 
 class InvariantViolation(RuntimeError):
@@ -90,10 +94,7 @@ class InvariantViolation(RuntimeError):
 
 def binomial_stderr(p: float, n: int) -> float:
     """Standard error of a fraction ``p`` estimated from ``n`` trials."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"fraction must lie in [0, 1], got {p}")
-    if n < 1:
-        raise ValueError(f"need n >= 1 trials, got {n}")
+    p, n = as_real("fraction", p, 0, 1), as_integer("n", n, 1)
     return math.sqrt(p * (1.0 - p) / n)
 
 
@@ -174,21 +175,18 @@ class ExperimentConfig:
         if n < 2:
             raise ValueError("need at least two program states")
         for j, alpha in enumerate(self.programs):
-            # A finite intensity implies finite parts; NaN fails the test.
-            if not math.isfinite(intensity(alpha)):
-                raise ValueError(f"programs[{j}] must have a finite intensity, got {alpha}")
+            as_real(f"programs[{j}] intensity", intensity(alpha), 0, MAX_INTENSITY)
         if len(self.plan.couplings) != n:
             raise ValueError(f"plan serves {len(self.plan.couplings)} states, got {n} programs")
         object.__setattr__(self, "detectors", _broadcast(self.detectors, n, "detectors"))
         object.__setattr__(self, "interference", _broadcast(self.interference, n, "interference"))
-        if self.priors is None:
-            object.__setattr__(self, "priors", (1.0 / n,) * n)
-        else:
-            if len(self.priors) != n:
-                raise ValueError(f"expected {n} priors, got {len(self.priors)}")
-            # The range test is written so that NaN fails it.
-            if not all(0.0 <= p <= 1.0 for p in self.priors) or abs(sum(self.priors) - 1.0) > 1e-9:
-                raise ValueError("priors must be nonnegative and sum to 1")
+        priors = (1.0 / n,) * n if self.priors is None else self.priors
+        if len(priors) != n:
+            raise ValueError(f"expected {n} priors, got {len(priors)}")
+        priors = tuple(as_real(f"priors[{j}]", p, 0, 1) for j, p in enumerate(priors))
+        if abs(sum(priors) - 1.0) > 1e-9:
+            raise ValueError(f"priors must sum to 1, got {sum(priors)}")
+        object.__setattr__(self, "priors", priors)
         for name, hi in (("trials_per_block", MAX_TRIALS_PER_BLOCK), ("blocks", MAX_BLOCKS)):
             object.__setattr__(self, name, as_integer(name, getattr(self, name), 1, hi))
         object.__setattr__(self, "seed", as_integer("seed", self.seed, 0))

@@ -27,6 +27,7 @@ from .optics import (
     ComplexAmplitude,
     apply_phase,
     as_integer,
+    as_real,
     bs_transform,
 )
 
@@ -49,8 +50,7 @@ class SplitterPlan:
     t0: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.t0 <= 1.0:
-            raise ValueError(f"t0 must lie in [0, 1], got {self.t0}")
+        object.__setattr__(self, "t0", as_real("t0", self.t0, 0, 1))
         if self.t0 in (0.0, 1.0):
             # Past this method and the dataclass-generated __init__.
             warnings.warn(

@@ -3,7 +3,8 @@
 A coherent state is represented by one complex number; its squared modulus
 is the mean photon number per pulse.  The only elements needed here are
 phase shifters and lossless two-port beam splitters.  ``as_integer`` is the
-package's one check for counts, seeds and state numbers.
+package's one check for counts, seeds and state numbers, and ``as_real`` its
+one check for finite, ranged real inputs, which it keeps as Python floats.
 """
 
 from __future__ import annotations
@@ -26,6 +27,20 @@ def as_integer(name: str, value, lo: int, hi: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer >= {lo}{cap}, got {value}")
 
 
+def as_real(name: str, value, lo: float, hi: float = math.inf, *, open_lo: bool = False) -> float:
+    """``value`` as a Python float, if it is a finite real in [lo, hi], or in
+    (lo, hi] with ``open_lo``; otherwise a ``ValueError`` naming ``name``.
+    Python floats, since numpy scalars are slow in the per-port loops."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if math.isfinite(x) and (lo < x if open_lo else lo <= x) and x <= hi:
+        return x
+    where = "" if lo == -hi == -math.inf else f" in {'(' if open_lo else '['}{lo:g}, {hi:g}]"
+    raise ValueError(f"{name} must be a finite number{where}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BeamSplitter:
     """Lossless two-port splitter with intensity transmittance in [0, 1].
@@ -39,10 +54,10 @@ class BeamSplitter:
     sqrt_r: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError(f"transmittance must lie in [0, 1], got {self.transmittance}")
-        object.__setattr__(self, "sqrt_t", math.sqrt(self.transmittance))
-        object.__setattr__(self, "sqrt_r", math.sqrt(1.0 - self.transmittance))
+        t = as_real("transmittance", self.transmittance, 0, 1)
+        object.__setattr__(self, "transmittance", t)
+        object.__setattr__(self, "sqrt_t", math.sqrt(t))
+        object.__setattr__(self, "sqrt_r", math.sqrt(1.0 - t))
 
 
 def intensity(a: ComplexAmplitude) -> float:
@@ -78,8 +93,5 @@ def apply_phase(a: ComplexAmplitude, phi: float) -> ComplexAmplitude:
 
 def from_intensity_phase(n: float, phi: float) -> ComplexAmplitude:
     """Amplitude with mean photon number ``n`` and phase ``phi`` (radians)."""
-    if not (0.0 <= n < math.inf):
-        raise ValueError(f"mean photon number must be finite and >= 0, got {n}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got {phi}")
+    n, phi = as_real("mean photon number", n, 0), as_real("phase", phi, -math.inf)
     return cmath.rect(math.sqrt(n), phi)

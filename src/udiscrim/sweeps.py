@@ -25,7 +25,7 @@ from .detection import (
 from .drift import DriftModel, StabilizerConfig
 from .montecarlo import Counts, ExperimentConfig, fractions_from_blocks, run_experiment
 from .network import NStatePlan, Plan, SplitterPlan
-from .optics import ComplexAmplitude, as_integer, from_intensity_phase
+from .optics import ComplexAmplitude, as_integer, as_real, from_intensity_phase
 
 # Grid caps, checked before anything is allocated.  Every sweep point runs
 # at least two experiments.  At n states every trial draws n + 1 numbers;
@@ -75,8 +75,8 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", as_integer("points", self.points, 2, MAX_POINTS))
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("sweep range must be finite")
+        for name in ("start", "stop"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name), -math.inf))
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)

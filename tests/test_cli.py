@@ -476,6 +476,22 @@ class TestFailureModes:
         assert "drift sigma 1e+308" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, program",
+        [
+            (["nstate", "--n", "3", "--alpha1", "1e13:0"], 0),
+            # |a1|^2 = 1.33 by default, so state 2 carries 1.33e308 photons.
+            (["sweep-ratio", "--start", "1e308", "--stop", "1e308", "--points", "2"], 1),
+        ],
+        ids=["nstate", "sweep-ratio"],
+    )
+    def test_intensity_past_the_cap_names_the_program(self, tmp_path, capsys, args, program):
+        # Past montecarlo.MAX_INTENSITY a null port is no longer dark.
+        out = tmp_path / "x.csv"
+        assert run([*args, "--out", out, *fast(args[0])]) == 2
+        assert f"udiscrim: error: programs[{program}] intensity must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invariant_violation_exits_4(self, monkeypatch, tmp_path, capsys):
         def broken(*_args, **_kwargs):
             raise InvariantViolation("outcome buckets sum to 3, expected 5")

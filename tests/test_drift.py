@@ -101,6 +101,19 @@ class TestStabilize:
         assert out[0] == 0.5
         assert used == 0
 
+    def test_saturated_dark_port_gives_no_signal(self):
+        # 1e4 photons leave ~130 at the dark port even at phi = 0 (V = 0.98),
+        # so every probe clicks at both dither points; the rate estimate must
+        # stay clamped below 1, where log1p(-1) would fail.
+        rng = np.random.default_rng(8)
+        probe = reference_probe()
+        probe = ProbeModel(probe.coupling, 1e4, probe.visibility, probe.detector)
+        cfg = StabilizerConfig(probe_trials=500)
+        out, used = stabilize(np.array([0.3, -0.2]), cfg, [probe, probe], rng)
+        assert np.all(np.isfinite(out))
+        assert out.tolist() == [0.3, -0.2]
+        assert used == 2 * 2 * 500
+
     def test_probe_accounting(self):
         rng = np.random.default_rng(7)
         cfg = StabilizerConfig(probe_trials=123)

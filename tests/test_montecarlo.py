@@ -417,6 +417,64 @@ class TestCountsAndFractions:
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+T9_975 = 2.2621571627409915  # 97.5 % quantile of Student's t, 9 degrees of freedom
+
+
+def _expected_fractions(cfg, history):
+    """Exact P_j^+ and inconclusive share from the exclusion law, averaged
+    over the blocks' phases: only j survives when every other port clicks."""
+    n, priors = cfg.n_states, np.asarray(cfg.priors)
+    plus, inconclusive = np.zeros(n), 0.0
+    for phases in history:
+        m = click_matrix(cfg, phases)
+        alone = np.array([[(1 - m[t, j]) * np.prod(np.delete(m[t], j)) for j in range(n)]
+                          for t in range(n)])
+        plus += priors * np.diag(alone)
+        inconclusive += 1.0 - priors @ alone.sum(axis=1)
+    return plus / len(history), inconclusive / len(history)
+
+
+def _binomial_tails(n, p, alpha):
+    """The least and greatest count k of Binomial(n, p) with
+    P(K < k) <= alpha and P(K > k) <= alpha."""
+    pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    lo = max(k for k in range(n + 1) if sum(pmf[:k]) <= alpha)
+    hi = min(k for k in range(n + 1) if sum(pmf[k + 1 :]) <= alpha)
+    return lo, hi
+
+
+class TestBlockErrorCoverage:
+    SEEDS = 75  # per scenario; four scenarios per drift setting
+    PRIORS = {2: ((1.0, 0.0), (0.3, 0.7)), 3: ((0.0, 0.0, 1.0), (0.5, 0.3, 0.2))}
+
+    @pytest.mark.parametrize("drift", [False, True], ids=["no-drift", "drift-locked"])
+    def test_t_intervals_cover_the_expected_fractions(self, drift):
+        # Ten blocks give Student-t 95 % intervals p +/- t9 * se.  Runs are
+        # independent, so each quantity's covering count is Binomial(runs,
+        # 0.95) (approximately, since block fractions are near normal).  Under
+        # drift the block spread also holds the drift's block-to-block
+        # variation, so the intervals may only cover more often.
+        lock = dict(drift=DriftModel(0.1), stabilizer=StabilizerConfig()) if drift else {}
+        covered = {"p_plus": 0, "p_inconclusive": 0}
+        for n, cases in self.PRIORS.items():
+            for priors in cases:
+                for seed in range(self.SEEDS):
+                    cfg = ring_config(n, priors=priors, trials_per_block=2000, blocks=10,
+                                      seed=seed, **lock)
+                    res = run_experiment(cfg)
+                    f = res.fractions
+                    plus, inconclusive = _expected_fractions(cfg, res.phase_history)
+                    k = int(np.argmax(priors)) if max(priors) == 1.0 else seed % n
+                    covered["p_plus"] += abs(f.p_plus[k] - plus[k]) <= T9_975 * f.se_p_plus[k]
+                    covered["p_inconclusive"] += (
+                        abs(f.p_inconclusive - inconclusive) <= T9_975 * f.se_p_inconclusive
+                    )
+        lo, hi = _binomial_tails(4 * self.SEEDS, 0.95, 1e-4)
+        for count in covered.values():
+            assert lo <= count
+            assert drift or count <= hi, covered
+
+
 class TestBinomialStderr:
     def test_reference_values(self):
         assert binomial_stderr(0.5, 100) == pytest.approx(0.05, rel=1e-12)

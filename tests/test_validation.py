@@ -23,8 +23,9 @@ from udiscrim.drift import (
     StabilizerConfig,
     simulate_drift_paths,
 )
-from udiscrim.montecarlo import ExperimentConfig, run_experiment, run_trial
+from udiscrim.montecarlo import ExperimentConfig, binomial_stderr, run_experiment, run_trial
 from udiscrim.network import NStatePlan, SplitterPlan, nstate_port_contributions
+from udiscrim.optics import BeamSplitter, from_intensity_phase
 from udiscrim.sweeps import SweepSpec, ring_programs
 
 RING = (1.0 + 0j, 1j, -1.0 + 0j)
@@ -154,6 +155,55 @@ def test_non_finite_input_is_rejected(build):
                      id="probe-intensity-nan"),
         pytest.param(lambda: _probe(program_intensity=-1.0), "program_intensity",
                      id="probe-intensity-negative"),
+        # Real inputs go through optics.as_real: a finite Python or numpy
+        # real in range, named with its range otherwise.  An array or a
+        # string is rejected there, not accepted or left to a TypeError.
+        pytest.param(lambda: BeamSplitter(1.5),
+                     r"transmittance must be a finite number in \[0, 1\], got 1.5",
+                     id="transmittance-above-one"),
+        pytest.param(lambda: BeamSplitter(np.array([0.5])), "transmittance",
+                     id="transmittance-array"),
+        pytest.param(lambda: from_intensity_phase(-1.0, 0.0),
+                     r"mean photon number must be a finite number in \[0, inf\]",
+                     id="intensity-negative"),
+        pytest.param(lambda: from_intensity_phase(1.0, math.inf),
+                     "phase must be a finite number, got inf", id="phase-inf"),
+        pytest.param(lambda: SplitterPlan(np.array([0.5])), "t0", id="t0-array"),
+        pytest.param(lambda: SplitterPlan("0.5"), "t0 must be a finite number", id="t0-string"),
+        pytest.param(lambda: DetectorModel(np.array([0.5])), "eta", id="eta-array"),
+        pytest.param(lambda: DetectorModel("0.5"), "eta", id="eta-string"),
+        pytest.param(lambda: DetectorModel(1.5),
+                     r"eta must be a finite number in \[0, 1\], got 1.5", id="eta-above-one"),
+        pytest.param(lambda: DetectorModel(0.5, -1.0), "dark_mean", id="dark-negative"),
+        pytest.param(lambda: InterferenceModel(math.nan), "visibility must be a finite number",
+                     id="visibility-nan"),
+        pytest.param(lambda: DriftModel(np.array([0.1, 0.2])), "sigma", id="sigma-array"),
+        pytest.param(lambda: DriftModel(10**400), "sigma", id="sigma-past-float-range"),
+        pytest.param(lambda: DriftModel(-0.1), r"sigma must be a finite number in \[0, inf\]",
+                     id="sigma-negative"),
+        pytest.param(lambda: StabilizerConfig(dither=0.0),
+                     r"dither must be a finite number in \(0, inf\], got 0.0", id="dither-zero"),
+        pytest.param(lambda: StabilizerConfig(dither=math.inf), "dither", id="dither-inf"),
+        pytest.param(lambda: StabilizerConfig(gain=np.float64(0.0)), r"gain .* \(0, 1\]",
+                     id="gain-numpy-zero"),
+        pytest.param(lambda: SweepSpec(None, 1.0, 3), "start must be a finite number, got None",
+                     id="start-none"),
+        pytest.param(lambda: SweepSpec(0.0, math.nan, 3), "stop must be a finite number, got nan",
+                     id="stop-nan"),
+        pytest.param(lambda: _config((0.5, math.nan)), r"priors\[1\] must be a finite number",
+                     id="prior-nan-named"),
+        pytest.param(lambda: _config((1.5, -0.5)), r"priors\[0\]", id="prior-above-one"),
+        pytest.param(lambda: _config((0.5, 0.25)), "priors must sum to 1, got 0.75",
+                     id="priors-sum"),
+        pytest.param(lambda: binomial_stderr(1.2, 10),
+                     r"fraction must be a finite number in \[0, 1\]", id="fraction-above-one"),
+        pytest.param(lambda: binomial_stderr(0.5, 0), "n must be an integer >= 1",
+                     id="stderr-n-zero"),
+        # Past 1e12 photons, rounding makes a null port click often enough
+        # to book wrong answers (see montecarlo.MAX_INTENSITY).
+        pytest.param(lambda: _config(None, programs=(from_intensity_phase(1e13, 0.0), -1.0 + 0j)),
+                     r"programs\[0\] intensity must be a finite number in \[0, 1e\+12\]",
+                     id="program-intensity-above-cap"),
     ],
 )
 def test_inconsistent_input_is_rejected(build, message):
@@ -183,3 +233,31 @@ def test_numpy_integer_counts_run():
 def test_numpy_trial_index_replays_the_same_trial():
     cfg = _config(None)
     assert run_trial(cfg, np.int64(3)) == run_trial(cfg, 3)
+
+
+@pytest.mark.parametrize("scalar", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        pytest.param(lambda s: BeamSplitter(s(0.25)), ("transmittance",), id="splitter"),
+        pytest.param(lambda s: SplitterPlan(s(0.25)), ("t0",), id="plan"),
+        pytest.param(lambda s: DetectorModel(s(0.5), s(1e-6)), ("eta", "dark_mean"),
+                     id="detector"),
+        pytest.param(lambda s: InterferenceModel(s(0.9)), ("visibility",), id="interference"),
+        pytest.param(lambda s: DriftModel(s(0.1)), ("sigma",), id="drift"),
+        pytest.param(lambda s: StabilizerConfig(dither=s(0.2), gain=s(0.5)), ("dither", "gain"),
+                     id="stabilizer"),
+        pytest.param(lambda s: _probe(coupling=s(0.25), program_intensity=s(1.5),
+                                      visibility=s(0.9)),
+                     ("coupling", "program_intensity", "visibility"), id="probe"),
+        pytest.param(lambda s: SweepSpec(s(0.5), s(2.0), 3), ("start", "stop"), id="sweep"),
+        pytest.param(lambda s: _config((s(0.25), s(0.75))), ("priors",), id="priors"),
+    ],
+)
+def test_real_fields_are_stored_as_python_floats(build, names, scalar):
+    # numpy scalars would run the per-port loops in slow numpy arithmetic.
+    obj = build(scalar)
+    for name in names:
+        stored = getattr(obj, name)
+        for value in stored if isinstance(stored, tuple) else (stored,):
+            assert type(value) is float, (name, type(value))
