@@ -14,12 +14,18 @@ only on (config, seed, trial index).  Sharding the trial range over any
 number of workers cannot change a single result, and a one-worker mode
 reproduces the parallel output exactly.
 
-The first draw of a trial picks the truth by a search in the prior CDF.
-When the CDF is 0 below some index k and at least 1 from k on, every draw
-in [0, 1) picks k, so the search is skipped; the draw is still consumed,
-so the stream layout does not depend on the priors.  A slice of trials
-(see below) is then tallied in one pass: the 0/1 rows of hypotheses that
-no click excluded, times a weight vector, give exact integers that a
+The first draw u of a trial picks the truth, the number of prior-CDF
+entries <= u (``searchsorted(cdf, u, side="right")``).  When the CDF is 0
+below some index k and at least 1 from k on, every u in [0, 1) picks k and
+no truth is looked up; the draw is still consumed, so the stream layout
+does not depend on the priors.  Otherwise [0, 1) is cut into
+``2**_TRUTH_BITS`` equal buckets and a table holds the truth that every
+draw of a bucket picks; ``u * 2**_TRUTH_BITS`` is exact, so its floor
+indexes the table.  A bucket with a CDF entry strictly inside (at most
+n - 1 of them) holds -1 and its draws are searched, so every truth is the
+search's and ``run_trial`` replays it with the plain search.  A slice of
+trials (see below) is then tallied in one pass: the 0/1 rows of hypotheses
+that no click excluded, times a weight vector, give exact integers that a
 lookup table turns into a class (the lone survivor's index, no click, or
 ambiguous), and one ``bincount`` over ``truth * (n + 2) + class`` yields
 every count.  With a constant truth every trial compares against the same
@@ -75,6 +81,11 @@ _CHUNK = 1 << 16
 _SLICE_DRAWS = 12 << 12
 # Philox advances its counter in blocks of four 64-bit draws.
 _DRAWS_PER_COUNTER_STEP = 4
+# Bits of a truth draw that index the bucket table of the prior CDF: 4096
+# entries, 32 KB per thread.  16 bits (512 KB per thread) pushed an n = 8
+# run past the engine's memory bounds; with uniform priors and n a power of
+# two up to 4096, no CDF entry falls inside a bucket.
+_TRUTH_BITS = 12
 
 # Run-size caps, checked before anything is allocated.  A run keeps one
 # Counts and one row of phases per block, and a block lists its chunks
@@ -260,6 +271,30 @@ def _constant_truth(cdf: np.ndarray) -> int | None:
     return k if bool(np.all(cdf[k:] >= 1.0)) else None
 
 
+def _truth_table(cdf: np.ndarray) -> np.ndarray:
+    """The truth every draw in bucket h, [h, h + 1) / 2**_TRUTH_BITS, picks.
+
+    ``searchsorted(cdf, u, side="right")`` counts the CDF entries <= u, so
+    over the bucket it runs from ``lo`` (entries <= its lower edge) to
+    ``hi`` (entries below its upper edge).  They differ exactly when an
+    entry lies strictly inside the bucket; that bucket holds -1.
+    """
+    edges = np.arange((1 << _TRUTH_BITS) + 1) / (1 << _TRUTH_BITS)
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    hi = np.searchsorted(cdf, edges[1:], side="left")
+    return np.where(lo == hi, lo, -1)
+
+
+def _truths(table: np.ndarray, cdf: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u0, side="right")``, read from the bucket table
+    and searched only for the draws in a bucket that holds -1."""
+    t = table[(u0 * (1 << _TRUTH_BITS)).astype(np.intp)]
+    split = t < 0
+    if split.any():
+        t[split] = np.searchsorted(cdf, u0[split], side="right")
+    return t
+
+
 def _class_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights and a lookup table that classify a trial by its survivors.
 
@@ -300,6 +335,8 @@ class _Tally(threading.local):
         self.step = max(1, _SLICE_DRAWS // self.stride)
         self.cdf = _prior_cdf(cfg.priors)
         self.truth = _constant_truth(self.cdf)
+        if self.truth is None:
+            self.truth_table = _truth_table(self.cdf)
         self.weights, self.classes = _class_table(cfg.n_states)
         self.gen = np.random.Generator(np.random.Philox(meas_ss))
         self.fresh = self.gen.bit_generator.state
@@ -332,7 +369,7 @@ class _Tally(threading.local):
             m = min(step, stop - lo)
             u = gen.random(out=draws[: m * stride].reshape(m, stride))
             if truth is None:
-                t = np.searchsorted(self.cdf, u[:, 0], side="right")
+                t = _truths(self.truth_table, self.cdf, u[:, 0])
                 alive = u[:, 1 : 1 + n] >= np.take(matrix, t, axis=0)
                 key = np.take(self.classes, (alive @ self.weights).astype(np.intp))
             else:

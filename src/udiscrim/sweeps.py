@@ -77,6 +77,10 @@ class SweepSpec:
         object.__setattr__(self, "points", as_integer("points", self.points, 2, MAX_POINTS))
         for name in ("start", "stop"):
             object.__setattr__(self, name, as_real(name, getattr(self, name), -math.inf))
+        # linspace steps by stop - start, which overflows to inf past the float range.
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"stop - start must be a finite number, got start={self.start!r}, "
+                             f"stop={self.stop!r}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)

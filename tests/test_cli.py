@@ -492,6 +492,17 @@ class TestFailureModes:
         assert f"udiscrim: error: programs[{program}] intensity must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_span_past_the_float_range_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        args = ["sweep-phase", "--start=-1.7e308", "--stop", "1.7e308", "--points", "3"]
+        assert run([*args, "--alpha1", "1:0", "--out", out, *FAST]) == 2
+        assert capsys.readouterr().err == (
+            "udiscrim: error: stop - start must be a finite number, "
+            "got start=-1.7e+308, stop=1.7e+308\n"
+        )
+        assert not out.exists()
+
     def test_invariant_violation_exits_4(self, monkeypatch, tmp_path, capsys):
         def broken(*_args, **_kwargs):
             raise InvariantViolation("outcome buckets sum to 3, expected 5")

@@ -114,6 +114,41 @@ class TestStabilize:
         assert out.tolist() == [0.3, -0.2]
         assert used == 2 * 2 * 500
 
+    @pytest.mark.parametrize("dark", [0.0, 1e-3])
+    @pytest.mark.parametrize("phi", [-0.6, 0.05, 0.3])
+    def test_one_step_follows_its_exact_law(self, phi, dark):
+        # The corrected phase as a function of the two dark-port click
+        # counts k_hi, k_lo ~ Binomial(m, p(phi +/- dither)), restated here,
+        # averaged over all (m + 1)^2 cells of their joint law.
+        probe = reference_probe()
+        probe = ProbeModel(probe.coupling, probe.program_intensity, probe.visibility,
+                           DetectorModel(0.53, dark))
+        cfg = StabilizerConfig(probe_trials=60)
+        m, det, d = cfg.probe_trials, probe.detector, cfg.dither
+
+        def pmf(phase):
+            p = 1.0 - math.exp(-(det.dark_mean + det.eta * probe.dark_port_mean_photons(phase)))
+            return [math.comb(m, k) * p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
+
+        def photons(k):
+            rate = min(k / m, 1.0 - 0.5 / m)  # the clamp keeps the log finite
+            return max((-math.log1p(-rate) - det.dark_mean) / det.eta, 0.0)
+
+        signal = 4.0 * probe.visibility * probe.coupling * probe.program_intensity * math.sin(d)
+        w = np.outer(pmf(phi + d), pmf(phi - d))
+        n_hat = np.array([photons(k) for k in range(m + 1)])
+        sin_phi = np.clip((n_hat[:, None] - n_hat[None, :]) / signal, -1.0, 1.0)
+        out = phi - cfg.gain * np.arcsin(sin_phi)
+        mean = float((w * out).sum())
+        var = float((w * (out - mean) ** 2).sum())
+        mu4 = float((w * (out - mean) ** 4).sum())
+
+        rng = np.random.default_rng(9)
+        steps = np.array([stabilize(np.array([phi]), cfg, [probe], rng)[0][0] for _ in range(4000)])
+        z_mean = (steps.mean() - mean) / math.sqrt(var / len(steps))
+        z_var = (steps.var(ddof=1) - var) / math.sqrt((mu4 - var**2) / len(steps))
+        assert abs(z_mean) <= 5 and abs(z_var) <= 5
+
     def test_probe_accounting(self):
         rng = np.random.default_rng(7)
         cfg = StabilizerConfig(probe_trials=123)

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udiscrim import montecarlo
 from udiscrim.detection import DetectorModel, InterferenceModel
@@ -31,6 +33,24 @@ def opposite_pair(intensity=1.0):
         from_intensity_phase(intensity, 0.0),
         from_intensity_phase(intensity, math.pi),
     )
+
+
+@st.composite
+def prior_sets(draw):
+    """Priors with zeros and 1e-10s, with every CDF entry on a bucket edge
+    k/4096, or with partial sums above 1 within the 1e-9 sum tolerance."""
+    n = draw(st.integers(2, 64))
+    kind = draw(st.sampled_from(["weights", "edges", "over"]))
+    if kind == "edges":
+        cuts = sorted(draw(st.lists(st.integers(0, 4096), min_size=n - 1, max_size=n - 1)))
+        return tuple(np.diff([0, *cuts, 4096]) / 4096)
+    weight = st.sampled_from([0.0, 1e-10]) | st.floats(0.0, 1.0)
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    weights[-1] += float(sum(weights) == 0.0)
+    priors = [w / sum(weights) for w in weights]
+    if kind == "over":
+        priors[0] = min(1.0, priors[0] + 9e-10)
+    return tuple(priors)
 
 
 def base_config(**kwargs):
@@ -158,6 +178,29 @@ class TestDeterminism:
         # The rule agrees with the search it replaces at both ends of [0, 1).
         ends = np.searchsorted(cdf, [0.0, np.nextafter(1.0, 0.0)], side="right")
         assert (ends[0] == ends[1] == truth) or (truth is None and ends[0] != ends[1])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(priors=prior_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_truth_lookup_matches_the_search(self, priors, seed):
+        # ExperimentConfig takes the priors, so they are ones a run can see.
+        priors = base_config(programs=ring_programs(len(priors), 1.0), plan=NStatePlan(len(priors)),
+                             priors=priors).priors
+        cdf = montecarlo._prior_cdf(priors)
+        buckets = 1 << montecarlo._TRUTH_BITS
+        edges = np.arange(buckets) / buckets
+        u0 = np.concatenate([
+            np.random.default_rng(seed).random(buckets),
+            edges,
+            np.nextafter(edges[1:], 0.0),
+            [np.nextafter(1.0, 0.0)],
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 2.0),
+        ])
+        u0 = u0[(u0 >= 0.0) & (u0 < 1.0)]
+        table = montecarlo._truth_table(cdf)
+        got = montecarlo._truths(table, cdf, u0)
+        assert np.array_equal(got, np.searchsorted(cdf, u0, side="right"))
 
     def test_rerun_and_worker_invariance(self):
         cfg = base_config()

@@ -156,12 +156,16 @@ def cli_runs(draw):
         args["points"] = "2"
     flag = draw(st.sampled_from(flags))
     value = draw(st.sampled_from(_EDGES)) or _TYPICAL[flag]
+    # With a huge stop, a huge negative start makes a span past the float range.
+    wide = flag == "stop" and value == "1e308" and draw(st.booleans())
     if flag in ("alpha1", "alpha2"):
         value = draw(st.sampled_from((f"{value}:0", f"1:{value}")))
     args[flag] = value
     argv = [name]
     for key, text in args.items():
         argv += ["--" + key.replace("_", "-"), text]
+    if wide:
+        argv.append("--start=-1e308")  # joined, or argparse takes it for a flag
     if "stabilize" in command.flags and draw(st.booleans()):
         argv.append("--stabilize")
     return argv
@@ -175,6 +179,7 @@ def out_dir(tmp_path_factory):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argv=cli_runs())
+@example(argv=["sweep-ratio", "--points", "2", "--stop", "1e308", "--start=-1e308"])
 def test_numeric_flags_never_end_in_a_traceback(out_dir, argv):
     # A numpy overflow or invalid-value warning is raised as an error here,
     # so it escapes main like any other unhandled exception.

@@ -47,6 +47,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(0.0, math.inf, 5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_span_past_the_float_range_names_start_and_stop(self):
+        with pytest.raises(ValueError, match="got start=-1.7e\\+308, stop=1.7e\\+308"):
+            SweepSpec(-1.7e308, 1.7e308, 3)
+        assert np.isfinite(SweepSpec(-8e307, 8e307, 3).grid()).all()
+
     def test_points_are_capped_before_the_grid_is_built(self):
         assert len(SweepSpec(0.0, 1.0, MAX_POINTS).grid()) == MAX_POINTS
         for points in (MAX_POINTS + 1, 10**12):
