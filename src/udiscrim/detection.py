@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .network import NStatePlan
-from .optics import ComplexAmplitude, as_real, intensity
+from .optics import ComplexAmplitude, as_integer, as_real, intensity
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,13 @@ def nstate_success_from_distances(
 ) -> float:
     """Success probability given the squared distances |alpha_j - alpha_k|^2
     from the true state k to every other program state (dark counts off)."""
+    n = as_integer("n", n, 2)
     if len(squared_distances) != n - 1:
         raise ValueError(f"expected {n - 1} squared distances, got {len(squared_distances)}")
+    eta = as_real("eta", eta, 0, 1)
     p = 1.0
-    for d2 in squared_distances:
-        p *= -math.expm1(-eta * d2 / (n + 1))
+    for j, d2 in enumerate(squared_distances):
+        p *= -math.expm1(-eta * as_real(f"squared_distances[{j}]", d2, 0) / (n + 1))
     return p
 
 
@@ -131,7 +133,6 @@ def analytic_nstate_success(
         raise ValueError("closed form assumes dark_mean = 0; use the Monte Carlo engine instead")
     if len(programs) != plan.n:
         raise ValueError(f"expected {plan.n} program states, got {len(programs)}")
-    if not (0 <= k < plan.n):
-        raise ValueError(f"true index {k} out of range for n={plan.n}")
+    k = as_integer("k", k, 0, plan.n - 1)
     d2 = [intensity(programs[j] - programs[k]) for j in range(plan.n) if j != k]
     return nstate_success_from_distances(d2, plan.n, det.eta)

@@ -133,7 +133,7 @@ def stabilize(
 def fringe_visibility_equivalent(phi: float) -> float:
     """Fringe contrast an otherwise ideal loop shows with a residual
     phase error ``phi``: (1 - s) / (1 + s) with s = sin^2(phi / 2)."""
-    s = math.sin(0.5 * phi) ** 2
+    s = math.sin(0.5 * as_real("phi", phi, -math.inf)) ** 2
     return (1.0 - s) / (1.0 + s)
 
 

@@ -15,21 +15,21 @@ number of workers cannot change a single result, and a one-worker mode
 reproduces the parallel output exactly.
 
 The first draw u of a trial picks the truth, the number of prior-CDF
-entries <= u (``searchsorted(cdf, u, side="right")``).  When the CDF is 0
-below some index k and at least 1 from k on, every u in [0, 1) picks k and
-no truth is looked up; the draw is still consumed, so the stream layout
-does not depend on the priors.  Otherwise [0, 1) is cut into
-``2**_TRUTH_BITS`` equal buckets and a table holds the truth that every
-draw of a bucket picks; ``u * 2**_TRUTH_BITS`` is exact, so its floor
-indexes the table.  A bucket with a CDF entry strictly inside (at most
-n - 1 of them) holds -1 and its draws are searched, so every truth is the
-search's and ``run_trial`` replays it with the plain search.  A slice of
-trials (see below) is then tallied in one pass: the 0/1 rows of hypotheses
-that no click excluded, times a weight vector, give exact integers that a
-lookup table turns into a class (the lone survivor's index, no click, or
-ambiguous), and one ``bincount`` over ``truth * (n + 2) + class`` yields
-every count.  With a constant truth every trial compares against the same
-row, so the compare is written transposed, as n rows of slice length.
+entries <= u (``searchsorted(cdf, u, side="right")``).  One rule decides
+it: [0, 1) is cut into ``2**_TRUTH_BITS`` equal buckets and a table holds
+the truth that every draw of a bucket picks; ``u * 2**_TRUTH_BITS`` is
+exact, so its floor indexes the table.  A bucket with a CDF entry strictly
+inside (at most n - 1 of them) holds -1 and its draws are searched, so
+every truth is the search's and ``run_trial`` replays it with the plain
+search.  A table whose buckets all hold one k is a constant truth: no
+truth is looked up, but the draw is still consumed, so the stream layout
+does not depend on the priors.  A slice of trials (see below) is then
+tallied in one pass: the 0/1 rows of hypotheses that no click excluded,
+times a weight vector, give exact integers that a lookup table turns into
+a class (the lone survivor's index, no click, or ambiguous), and one
+``bincount`` over ``truth * (n + 2) + class`` yields every count.  With a
+constant truth every trial compares against the same row, so the compare
+is written transposed, as n rows of slice length.
 
 A block is cut into at most ``_CHUNK``-trial chunks of equal size, which
 worker threads share.  Each chunk is drawn and tallied in consecutive
@@ -260,17 +260,6 @@ def _prior_cdf(priors: tuple[float, ...]) -> np.ndarray:
     return cdf
 
 
-def _constant_truth(cdf: np.ndarray) -> int | None:
-    """The truth that every draw u in [0, 1) picks, or None if it varies.
-
-    ``searchsorted(cdf, u, side="right")`` counts the CDF entries <= u.  That
-    count is k for every u exactly when the first k entries are 0 and the
-    rest at least 1; a prior as small as 1e-10 makes the truth vary.
-    """
-    k = int(np.count_nonzero(cdf <= 0.0))
-    return k if bool(np.all(cdf[k:] >= 1.0)) else None
-
-
 def _truth_table(cdf: np.ndarray) -> np.ndarray:
     """The truth every draw in bucket h, [h, h + 1) / 2**_TRUTH_BITS, picks.
 
@@ -334,9 +323,11 @@ class _Tally(threading.local):
         self.stride = _stride(cfg.n_states)
         self.step = max(1, _SLICE_DRAWS // self.stride)
         self.cdf = _prior_cdf(cfg.priors)
-        self.truth = _constant_truth(self.cdf)
-        if self.truth is None:
-            self.truth_table = _truth_table(self.cdf)
+        self.truth_table = _truth_table(self.cdf)
+        # Every draw picks truth k exactly when every bucket holds k; a prior
+        # as small as 1e-10 can split a bucket and make the truth vary.
+        lo, hi = int(self.truth_table.min()), int(self.truth_table.max())
+        self.truth = lo if lo == hi >= 0 else None
         self.weights, self.classes = _class_table(cfg.n_states)
         self.gen = np.random.Generator(np.random.Philox(meas_ss))
         self.fresh = self.gen.bit_generator.state
@@ -391,8 +382,7 @@ def run_trial(
     engine does for the same (seed, trial index, phase errors)."""
     trial_index = as_integer("trial_index", trial_index, 0)
     n = cfg.n_states
-    phases = np.zeros(n) if phase_errors is None else np.asarray(phase_errors, dtype=float)
-    matrix = click_matrix(cfg, phases)
+    matrix = click_matrix(cfg, np.zeros(n) if phase_errors is None else phase_errors)
     stride = _stride(n)
     bg = np.random.Philox(_streams(cfg.seed)[0])
     bg.advance(trial_index * (stride // _DRAWS_PER_COUNTER_STEP))
@@ -454,6 +444,8 @@ def fractions_from_blocks(block_counts: tuple[Counts, ...]) -> Fractions:
     below 2**53, as the run-size caps keep it, so that it converts to a
     float exactly.
     """
+    if not block_counts:
+        raise ValueError("block_counts is empty: fractions need at least one block")
     n = len(block_counts[0].c_plus)
     nb = len(block_counts)
     # One row per block: C_j^+, C_j^-, the inconclusive count, then C_tot.
@@ -496,8 +488,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     tally = _Tally(cfg, meas_ss).tally
     # More threads than chunks per block or than cores would only wait.
-    chunks = -(-cfg.trials_per_block // _CHUNK)
-    threads = min(workers, chunks, os.cpu_count() or 1)
+    threads = min(workers, len(_chunk_bounds(0, cfg.trials_per_block)), os.cpu_count() or 1)
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         block_counts = tuple(_run_block(cfg, b, history[b], tally, pool) for b in range(cfg.blocks))
     return ExperimentResult(

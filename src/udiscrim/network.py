@@ -122,6 +122,12 @@ class NStatePlan:
 Plan = SplitterPlan | NStatePlan
 
 
+def _check_phase_count(n: int, phase_errors) -> None:
+    """Phase errors, if given, hold one phase per interferometer loop."""
+    if phase_errors is not None and len(phase_errors) != n:
+        raise ValueError(f"expected {n} phase errors, got {len(phase_errors)}")
+
+
 def port_contributions(
     alpha_unknown: ComplexAmplitude,
     alpha_1: ComplexAmplitude,
@@ -136,6 +142,7 @@ def port_contributions(
     visibility model needs.  ``phase_errors`` are extra phases picked up
     on the unknown's arm of each interferometer loop (drift).
     """
+    _check_phase_count(2, phase_errors)
     bs0, bs1, bs2 = plan.splitters
     u_to_1, u_to_2 = bs_transform(alpha_unknown, 0j, bs0)
     u_to_1 *= _TRIM
@@ -201,8 +208,7 @@ def nstate_port_contributions(
     n = plan.n
     if len(programs) != n:
         raise ValueError(f"expected {n} program states, got {len(programs)}")
-    if phase_errors is not None and len(phase_errors) != n:
-        raise ValueError(f"expected {n} phase errors, got {len(phase_errors)}")
+    _check_phase_count(n, phase_errors)
     arms = _equal_split_arms(alpha_unknown, plan.taps)
     stage = plan.stage
     out: list[tuple[ComplexAmplitude, ComplexAmplitude]] = []
@@ -271,6 +277,7 @@ def outcome_from_clicks(
     true_index: int,
 ) -> TrialOutcome:
     """Label a click pattern given the hypothesis that was actually sent."""
+    true_index = as_integer("true_index", true_index, 0, len(clicks) - 1)
     survivors = classify(clicks)
     if len(survivors) == len(clicks):
         return TrialOutcome(OutcomeKind.NO_CLICK, true_index)

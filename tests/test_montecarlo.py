@@ -173,8 +173,11 @@ class TestDeterminism:
         ],
     )
     def test_constant_truth_rule(self, priors, truth):
-        cdf = montecarlo._prior_cdf(priors)
-        assert montecarlo._constant_truth(cdf) == truth
+        cfg = ring_config(len(priors), priors=priors)
+        tally = montecarlo._Tally(cfg, montecarlo._streams(cfg.seed)[0])
+        # The constant truth is read from the bucket table, the one truth rule.
+        assert tally.truth == truth
+        cdf = tally.cdf
         # The rule agrees with the search it replaces at both ends of [0, 1).
         ends = np.searchsorted(cdf, [0.0, np.nextafter(1.0, 0.0)], side="right")
         assert (ends[0] == ends[1] == truth) or (truth is None and ends[0] != ends[1])

@@ -21,10 +21,25 @@ from udiscrim.drift import (
     DriftModel,
     ProbeModel,
     StabilizerConfig,
+    fringe_visibility_equivalent,
     simulate_drift_paths,
 )
-from udiscrim.montecarlo import ExperimentConfig, binomial_stderr, run_experiment, run_trial
-from udiscrim.network import NStatePlan, SplitterPlan, nstate_port_contributions
+from udiscrim.montecarlo import (
+    ExperimentConfig,
+    binomial_stderr,
+    click_matrix,
+    fractions_from_blocks,
+    run_experiment,
+    run_trial,
+)
+from udiscrim.network import (
+    NStatePlan,
+    SplitterPlan,
+    detector_amplitudes,
+    nstate_port_contributions,
+    outcome_from_clicks,
+    port_contributions,
+)
 from udiscrim.optics import BeamSplitter, from_intensity_phase
 from udiscrim.sweeps import SweepSpec, ring_programs
 
@@ -86,12 +101,56 @@ def test_non_finite_input_is_rejected(build):
         pytest.param(lambda: StabilizerConfig(gain=math.nan), "gain", id="gain-nan"),
         pytest.param(lambda: nstate_port_contributions(1.0 + 0j, RING, NStatePlan(3), (0.0, 0.0)),
                      "expected 3 phase errors", id="phase-errors-length"),
+        # The two-state path takes one phase per loop too: one phase ended
+        # in an IndexError, a third was dropped without a word.
+        pytest.param(lambda: click_matrix(_config(None), [0.1]),
+                     "expected 2 phase errors, got 1", id="click-matrix-one-phase"),
+        pytest.param(lambda: click_matrix(_config(None), [0.1, 0.2, 0.3]),
+                     "expected 2 phase errors, got 3", id="click-matrix-three-phases"),
+        pytest.param(lambda: run_trial(_config(None), 0, [0.1]),
+                     "expected 2 phase errors, got 1", id="run-trial-one-phase"),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, 1.0 + 0j, -1.0 + 0j, SplitterPlan(0.5),
+                                                 (0.1, 0.2, 0.3)),
+                     "expected 2 phase errors, got 3", id="amplitudes-three-phases"),
+        pytest.param(lambda: port_contributions(1.0 + 0j, 1.0 + 0j, -1.0 + 0j, SplitterPlan(0.5),
+                                                ()),
+                     "expected 2 phase errors, got 0", id="contributions-no-phase"),
+        pytest.param(lambda: fractions_from_blocks(()), "block_counts is empty",
+                     id="fractions-no-blocks"),
+        # The closed forms and the classifier check their inputs like the
+        # constructors do.
+        pytest.param(lambda: nstate_success_from_distances((), 1, 0.5),
+                     "n must be an integer >= 2, got 1", id="distances-n-one"),
+        pytest.param(lambda: nstate_success_from_distances((1.0,), 2.5, 0.5),
+                     "n must be an integer", id="distances-n-fraction"),
+        pytest.param(lambda: nstate_success_from_distances((1.0,), 2, math.nan),
+                     r"eta must be a finite number in \[0, 1\], got nan", id="distances-eta-nan"),
+        pytest.param(lambda: nstate_success_from_distances((1.0,), 2, 1.5), "eta",
+                     id="distances-eta-above-one"),
+        pytest.param(lambda: nstate_success_from_distances((math.nan,), 2, 0.5),
+                     r"squared_distances\[0\] must be a finite number", id="distance-nan"),
+        pytest.param(lambda: nstate_success_from_distances((1.0, -1.0), 3, 0.5),
+                     r"squared_distances\[1\] must be a finite number in \[0, inf\]",
+                     id="distance-negative"),
+        pytest.param(lambda: fringe_visibility_equivalent(math.nan),
+                     "phi must be a finite number, got nan", id="visibility-phi-nan"),
+        pytest.param(lambda: fringe_visibility_equivalent(math.inf), "phi",
+                     id="visibility-phi-inf"),
+        pytest.param(lambda: outcome_from_clicks((True, False), 5),
+                     "true_index must be an integer >= 0 and at most 1, got 5",
+                     id="outcome-index-past-n"),
+        pytest.param(lambda: outcome_from_clicks((True, False), -1), "true_index",
+                     id="outcome-index-negative"),
+        pytest.param(lambda: outcome_from_clicks((True, False), 0.5), "true_index",
+                     id="outcome-index-fraction"),
         pytest.param(lambda: nstate_success_from_distances((1.0, 1.0, 1.0), 3, 0.5),
                      "expected 2 squared distances", id="distances-length"),
         pytest.param(lambda: analytic_nstate_success(RING[:2], 0, NStatePlan(3), DetectorModel(0.5)),
                      "expected 3 program states", id="analytic-programs-length"),
         pytest.param(lambda: analytic_nstate_success(RING, 3, NStatePlan(3), DetectorModel(0.5)),
-                     "out of range", id="analytic-k-equals-n"),
+                     "k must be an integer >= 0 and at most 2, got 3", id="analytic-k-equals-n"),
+        pytest.param(lambda: analytic_nstate_success(RING, 1.5, NStatePlan(3), DetectorModel(0.5)),
+                     "k must be an integer", id="analytic-k-fraction"),
         pytest.param(lambda: _config(None, programs=(complex(math.nan, 0), -1.0 + 0j)),
                      r"programs\[0\]", id="program-nan"),
         pytest.param(lambda: _config(None, programs=(1.0 + 0j, complex(0, math.inf))),
