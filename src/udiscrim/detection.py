@@ -55,8 +55,8 @@ def port_mean_photons(
     n = V |sum of amplitudes|^2 + (1 - V) (sum of arm intensities);
     for equal-intensity arms this gives fringe contrast exactly V.
     """
-    if incoherent_sum_of_intensities < 0.0:
-        raise ValueError("arm intensities cannot sum to a negative value")
+    if not incoherent_sum_of_intensities >= 0.0:  # NaN fails too
+        raise ValueError(f"arm intensities must sum to >= 0, got {incoherent_sum_of_intensities}")
     v = vis.visibility
     return v * intensity(coherent_sum) + (1.0 - v) * incoherent_sum_of_intensities
 
@@ -67,7 +67,7 @@ def click_probability(n: float, det: DetectorModel) -> float:
     Combines the signal and the independent dark channel:
     p = 1 - exp(-(dark_mean + eta * n)).
     """
-    if n < 0.0 or math.isnan(n):
+    if not n >= 0.0:  # NaN fails too
         raise ValueError(f"mean photon number must be >= 0, got {n}")
     return -math.expm1(-(det.dark_mean + det.eta * n))
 
@@ -84,7 +84,8 @@ def analytic_p1(
     unknown matches state 1, detector port 2 carries the difference field
     and a click there is the conclusive event.
     """
-    d2 = intensity(alpha_1 - alpha_2)
+    t0, eta2 = as_real("t0", t0, 0, 1), as_real("eta2", eta2, 0, 1)
+    d2 = as_real("|alpha_1 - alpha_2|^2", intensity(alpha_1 - alpha_2), 0)
     return -math.expm1(-eta2 * (1.0 - t0) / (2.0 - t0) * d2)
 
 
@@ -96,7 +97,8 @@ def analytic_p2(
 ) -> float:
     """Probability of correctly identifying program state 2 (mirror of
     :func:`analytic_p1` with splitting factor t0/(1+t0) and detector 1)."""
-    d2 = intensity(alpha_1 - alpha_2)
+    t0, eta1 = as_real("t0", t0, 0, 1), as_real("eta1", eta1, 0, 1)
+    d2 = as_real("|alpha_1 - alpha_2|^2", intensity(alpha_1 - alpha_2), 0)
     return -math.expm1(-eta1 * t0 / (1.0 + t0) * d2)
 
 

@@ -76,15 +76,24 @@ class ProbeModel:
         return self.visibility * coherent + (1.0 - self.visibility) * 2.0 * base
 
 
+def _check_phases(phases: np.ndarray) -> None:
+    """One vector check; ``as_real`` runs only to name a non-finite phase."""
+    if not np.isfinite(phases).all():
+        for j, phi in enumerate(phases.tolist()):
+            as_real(f"phases[{j}]", phi, -math.inf)
+
+
 def evolve(phases: np.ndarray, drift: DriftModel, rng: np.random.Generator) -> np.ndarray:
-    """One random-walk step of every loop's phase error; a step that
-    overflows a phase raises ``ValueError`` instead of running on inf."""
+    """One random-walk step of every loop's phase error; a non-finite input
+    phase, or a step that overflows one, raises ``ValueError`` instead of
+    running on inf."""
     phases = np.asarray(phases, dtype=float)
     if drift.sigma == 0.0:
         return phases.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         stepped = phases + rng.normal(0.0, drift.sigma, size=phases.shape)
     if not np.isfinite(stepped).all():
+        _check_phases(phases)
         raise ValueError(f"drift sigma {drift.sigma} took a phase past the float range")
     return stepped
 
@@ -108,9 +117,11 @@ def stabilize(
     The dark-port rate goes as 2 - 2 cos(phi), so the rate difference at
     phi +/- dither is proportional to sin(phi); reading it off at the two
     dither points gives a signed estimate of the residual phase, which is
-    pulled toward zero with the configured gain.
+    pulled toward zero with the configured gain.  A non-finite phase is a
+    ``ValueError`` that names it.
     """
     phases = np.asarray(phases, dtype=float).copy()
+    _check_phases(phases)
     m = cfg.probe_trials
     used = 0
     for loop, pm in enumerate(probes):

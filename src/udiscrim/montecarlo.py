@@ -229,10 +229,10 @@ class ExperimentResult:
     probe_pulses: int = 0
 
 
-def click_matrix(cfg: ExperimentConfig, phases) -> np.ndarray:
+def click_matrix(cfg: ExperimentConfig, phases=None) -> np.ndarray:
     """Click probabilities P[k, j]: detector j firing when state k was sent."""
     # Python floats, since np.float64 arithmetic is slow in the per-port loops.
-    phases = tuple(float(p) for p in phases)
+    phases = None if phases is None else tuple(float(p) for p in phases)
     programs, plan = cfg.programs, cfg.plan
     ports = tuple(zip(cfg.interference, cfg.detectors))
     rows = []
@@ -382,7 +382,7 @@ def run_trial(
     engine does for the same (seed, trial index, phase errors)."""
     trial_index = as_integer("trial_index", trial_index, 0)
     n = cfg.n_states
-    matrix = click_matrix(cfg, np.zeros(n) if phase_errors is None else phase_errors)
+    matrix = click_matrix(cfg, phase_errors)
     stride = _stride(n)
     bg = np.random.Philox(_streams(cfg.seed)[0])
     bg.advance(trial_index * (stride // _DRAWS_PER_COUNTER_STEP))

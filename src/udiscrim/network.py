@@ -17,6 +17,7 @@ splitter of transmittance n/(n+1).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -122,10 +123,18 @@ class NStatePlan:
 Plan = SplitterPlan | NStatePlan
 
 
-def _check_phase_count(n: int, phase_errors) -> None:
-    """Phase errors, if given, hold one phase per interferometer loop."""
-    if phase_errors is not None and len(phase_errors) != n:
+def _phases(n: int, phase_errors) -> tuple[float, ...]:
+    """One finite phase error per loop, ``None`` meaning none; ``as_real`` names a bad one."""
+    if phase_errors is None:
+        return (0.0,) * n
+    if len(phase_errors) != n:
         raise ValueError(f"expected {n} phase errors, got {len(phase_errors)}")
+    try:
+        if all(map(math.isfinite, phase_errors)):
+            return tuple(phase_errors)
+    except (TypeError, OverflowError):  # not a real, or an int past the float range
+        pass
+    return tuple(as_real(f"phase_errors[{j}]", p, -math.inf) for j, p in enumerate(phase_errors))
 
 
 def port_contributions(
@@ -133,23 +142,19 @@ def port_contributions(
     alpha_1: ComplexAmplitude,
     alpha_2: ComplexAmplitude,
     plan: SplitterPlan,
-    phase_errors: tuple[float, float] = (0.0, 0.0),
+    phase_errors: tuple[float, float] | None = None,
 ) -> list[tuple[ComplexAmplitude, ComplexAmplitude]]:
     """Propagate the three inputs through the two-state network.
 
     Returns per detector port a pair (unknown part, program part); the
     port amplitude is their sum, and the pair is what an incoherent-sum
     visibility model needs.  ``phase_errors`` are extra phases picked up
-    on the unknown's arm of each interferometer loop (drift).
+    on the unknown's arm of each loop (drift); ``None`` means none.
     """
-    _check_phase_count(2, phase_errors)
+    phi_1, phi_2 = _phases(2, phase_errors)
     bs0, bs1, bs2 = plan.splitters
     u_to_1, u_to_2 = bs_transform(alpha_unknown, 0j, bs0)
-    u_to_1 *= _TRIM
-    if phase_errors[0] != 0.0:
-        u_to_1 = apply_phase(u_to_1, phase_errors[0])
-    if phase_errors[1] != 0.0:
-        u_to_2 = apply_phase(u_to_2, phase_errors[1])
+    u_to_1, u_to_2 = apply_phase(u_to_1 * _TRIM, phi_1), apply_phase(u_to_2, phi_2)
 
     # Loop 1: unknown transmitted into D1, program 1 reflected into D1.
     d1_u, _ = bs_transform(u_to_1, 0j, bs1)
@@ -165,7 +170,7 @@ def detector_amplitudes(
     alpha_1: ComplexAmplitude,
     alpha_2: ComplexAmplitude,
     plan: SplitterPlan,
-    phase_errors: tuple[float, float] = (0.0, 0.0),
+    phase_errors: tuple[float, float] | None = None,
 ) -> tuple[ComplexAmplitude, ...]:
     """Amplitudes at the two detector ports.
 
@@ -208,18 +213,12 @@ def nstate_port_contributions(
     n = plan.n
     if len(programs) != n:
         raise ValueError(f"expected {n} program states, got {len(programs)}")
-    _check_phase_count(n, phase_errors)
-    arms = _equal_split_arms(alpha_unknown, plan.taps)
+    phases = _phases(n, phase_errors)
     stage = plan.stage
-    out: list[tuple[ComplexAmplitude, ComplexAmplitude]] = []
-    for j in range(n):
-        arm = arms[j]
-        if phase_errors is not None and phase_errors[j] != 0.0:
-            arm = apply_phase(arm, phase_errors[j])
-        d_u, _ = bs_transform(arm, 0j, stage)
-        d_p, _ = bs_transform(0j, programs[j], stage)
-        out.append((d_u, d_p))
-    return out
+    return [
+        (bs_transform(apply_phase(arm, phi), 0j, stage)[0], bs_transform(0j, program, stage)[0])
+        for arm, phi, program in zip(_equal_split_arms(alpha_unknown, plan.taps), phases, programs)
+    ]
 
 
 def nstate_amplitudes(

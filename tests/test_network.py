@@ -12,6 +12,7 @@ from udiscrim.network import (
     detector_amplitudes,
     nstate_amplitudes,
     outcome_from_clicks,
+    port_contributions,
 )
 from udiscrim.optics import intensity
 
@@ -121,6 +122,11 @@ class TestDetectorAmplitudes:
         leak = intensity(d[0])
         want = (1 / 3) * (2 - 2 * math.cos(0.1))
         assert leak == pytest.approx(want, rel=1e-12)
+        # None is the one spelling of "no phase error" in both two-state
+        # functions, as in the n-state ones.
+        inputs = (0.3 - 0.4j, 1 + 0j, -1 + 0j, SplitterPlan(0.3))
+        for ports in (port_contributions, detector_amplitudes):
+            assert ports(*inputs, None) == ports(*inputs, (0.0, 0.0)) == ports(*inputs)
 
 
 class TestNStateAmplitudes:

@@ -14,15 +14,21 @@ from udiscrim.detection import (
     DetectorModel,
     InterferenceModel,
     analytic_nstate_success,
+    analytic_p1,
+    analytic_p2,
+    click_probability,
     nstate_success_from_distances,
+    port_mean_photons,
 )
 from udiscrim.drift import (
     MAX_PROBE_TRIALS,
     DriftModel,
     ProbeModel,
     StabilizerConfig,
+    evolve,
     fringe_visibility_equivalent,
     simulate_drift_paths,
+    stabilize,
 )
 from udiscrim.montecarlo import (
     ExperimentConfig,
@@ -36,6 +42,7 @@ from udiscrim.network import (
     NStatePlan,
     SplitterPlan,
     detector_amplitudes,
+    nstate_amplitudes,
     nstate_port_contributions,
     outcome_from_clicks,
     port_contributions,
@@ -115,6 +122,46 @@ def test_non_finite_input_is_rejected(build):
         pytest.param(lambda: port_contributions(1.0 + 0j, 1.0 + 0j, -1.0 + 0j, SplitterPlan(0.5),
                                                 ()),
                      "expected 2 phase errors, got 0", id="contributions-no-phase"),
+        # A non-finite phase is named where it enters, not left to surface as
+        # a NaN mean photon number in the click law.
+        pytest.param(lambda: click_matrix(_config(None), [0.1, math.nan]),
+                     r"phase_errors\[1\] must be a finite number, got nan", id="click-matrix-nan"),
+        pytest.param(lambda: click_matrix(_config(None), np.array([math.inf, 0.0])),
+                     r"phase_errors\[0\] must be a finite number, got inf", id="click-matrix-inf"),
+        pytest.param(lambda: run_trial(_config(None), 0, [math.nan, 0.0]),
+                     r"phase_errors\[0\] must be a finite number, got nan", id="run-trial-nan"),
+        pytest.param(lambda: run_trial(_config(None), 0, [0.0, -math.inf]),
+                     r"phase_errors\[1\] must be a finite number, got -inf", id="run-trial-inf"),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, 1.0 + 0j, -1.0 + 0j, SplitterPlan(0.5),
+                                                 (0.1, math.nan)),
+                     r"phase_errors\[1\] must be a finite number", id="amplitudes-nan"),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, 1.0 + 0j, -1.0 + 0j, SplitterPlan(0.5),
+                                                 (math.inf, 0.1)),
+                     r"phase_errors\[0\] must be a finite number", id="amplitudes-inf"),
+        pytest.param(lambda: nstate_amplitudes(1.0 + 0j, RING, NStatePlan(3), (0.0, 0.0, math.nan)),
+                     r"phase_errors\[2\] must be a finite number", id="nstate-amplitudes-nan"),
+        pytest.param(lambda: nstate_amplitudes(1.0 + 0j, RING, NStatePlan(3), (0.0, math.inf, 0.0)),
+                     r"phase_errors\[1\] must be a finite number", id="nstate-amplitudes-inf"),
+        pytest.param(lambda: nstate_port_contributions(1.0 + 0j, RING, NStatePlan(3),
+                                                       (math.nan, 0.0, 0.0)),
+                     r"phase_errors\[0\] must be a finite number", id="nstate-contributions-nan"),
+        pytest.param(lambda: nstate_port_contributions(1.0 + 0j, RING, NStatePlan(3),
+                                                       (0.0, 0.0, -math.inf)),
+                     r"phase_errors\[2\] must be a finite number", id="nstate-contributions-inf"),
+        # The lock and the drift step name a bad input phase, not the step
+        # or the click law it would reach.
+        pytest.param(lambda: evolve([math.nan, 0.0], DriftModel(0.1), np.random.default_rng(0)),
+                     r"phases\[0\] must be a finite number, got nan", id="evolve-phase-nan"),
+        pytest.param(lambda: stabilize([0.0, math.nan], StabilizerConfig(), [_probe()] * 2,
+                                       np.random.default_rng(0)),
+                     r"phases\[1\] must be a finite number, got nan", id="stabilize-phase-nan"),
+        # The detection checks let no NaN through.
+        pytest.param(lambda: port_mean_photons(1.0 + 0j, math.nan, InterferenceModel(0.9)),
+                     "arm intensities must sum to >= 0, got nan", id="port-photons-nan"),
+        pytest.param(lambda: port_mean_photons(1.0 + 0j, -1.0, InterferenceModel(0.9)),
+                     "arm intensities must sum to >= 0, got -1.0", id="port-photons-negative"),
+        pytest.param(lambda: click_probability(math.nan, DetectorModel(0.5)),
+                     "mean photon number must be >= 0, got nan", id="click-probability-nan"),
         pytest.param(lambda: fractions_from_blocks(()), "block_counts is empty",
                      id="fractions-no-blocks"),
         # The closed forms and the classifier check their inputs like the
@@ -145,6 +192,29 @@ def test_non_finite_input_is_rejected(build):
                      id="outcome-index-fraction"),
         pytest.param(lambda: nstate_success_from_distances((1.0, 1.0, 1.0), 3, 0.5),
                      "expected 2 squared distances", id="distances-length"),
+        # The two-state closed forms check t0, eta and the squared distance
+        # the way nstate_success_from_distances does.
+        pytest.param(lambda: analytic_p1(1, -1, math.nan, 0.5),
+                     r"t0 must be a finite number in \[0, 1\], got nan", id="analytic-p1-t0-nan"),
+        pytest.param(lambda: analytic_p1(1, -1, 3.0, 0.5),
+                     r"t0 must be a finite number in \[0, 1\], got 3.0",
+                     id="analytic-p1-t0-above-one"),
+        pytest.param(lambda: analytic_p1(1, -1, 0.5, math.nan),
+                     r"eta2 must be a finite number in \[0, 1\], got nan",
+                     id="analytic-p1-eta-nan"),
+        pytest.param(lambda: analytic_p2(1, -1, -0.5, 0.5),
+                     r"t0 must be a finite number in \[0, 1\], got -0.5",
+                     id="analytic-p2-t0-negative"),
+        pytest.param(lambda: analytic_p2(1, -1, 0.5, 2.0),
+                     r"eta1 must be a finite number in \[0, 1\], got 2.0",
+                     id="analytic-p2-eta-above-one"),
+        pytest.param(lambda: analytic_p1(complex(math.nan, 0), -1, 0.5, 0.5),
+                     r"\|alpha_1 - alpha_2\|\^2 must be a finite number in \[0, inf\], got nan",
+                     id="analytic-p1-distance-nan"),
+        # Finite states whose squared distance overflows.
+        pytest.param(lambda: analytic_p2(1e200, -1e200, 0.5, 0.5),
+                     r"\|alpha_1 - alpha_2\|\^2 must be a finite number .* got inf",
+                     id="analytic-p2-distance-inf"),
         pytest.param(lambda: analytic_nstate_success(RING[:2], 0, NStatePlan(3), DetectorModel(0.5)),
                      "expected 3 program states", id="analytic-programs-length"),
         pytest.param(lambda: analytic_nstate_success(RING, 3, NStatePlan(3), DetectorModel(0.5)),
