@@ -79,7 +79,7 @@ class ProbeModel:
 def _check_phases(phases: np.ndarray) -> None:
     """One vector check; ``as_real`` runs only to name a non-finite phase."""
     if not np.isfinite(phases).all():
-        for j, phi in enumerate(phases.tolist()):
+        for j, phi in enumerate(phases):
             as_real(f"phases[{j}]", phi, -math.inf)
 
 
@@ -89,6 +89,7 @@ def evolve(phases: np.ndarray, drift: DriftModel, rng: np.random.Generator) -> n
     running on inf."""
     phases = np.asarray(phases, dtype=float)
     if drift.sigma == 0.0:
+        _check_phases(phases)
         return phases.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         stepped = phases + rng.normal(0.0, drift.sigma, size=phases.shape)

@@ -30,7 +30,8 @@ def as_integer(name: str, value, lo: int, hi: int | None = None) -> int:
 def as_real(name: str, value, lo: float, hi: float = math.inf, *, open_lo: bool = False) -> float:
     """``value`` as a Python float, if it is a finite real in [lo, hi], or in
     (lo, hi] with ``open_lo``; otherwise a ``ValueError`` naming ``name``.
-    Python floats, since numpy scalars are slow in the per-port loops."""
+    Python floats, since numpy scalars are slow in the per-port loops.  A
+    rejected numpy scalar is shown by its Python value."""
     try:
         x = float(value) if isinstance(value, numbers.Real) else math.nan
     except OverflowError:  # an int past the float range
@@ -38,7 +39,8 @@ def as_real(name: str, value, lo: float, hi: float = math.inf, *, open_lo: bool 
     if math.isfinite(x) and (lo < x if open_lo else lo <= x) and x <= hi:
         return x
     where = "" if lo == -hi == -math.inf else f" in {'(' if open_lo else '['}{lo:g}, {hi:g}]"
-    raise ValueError(f"{name} must be a finite number{where}, got {value!r}")
+    shown = value.item() if isinstance(value, numbers.Number) and hasattr(value, "item") else value
+    raise ValueError(f"{name} must be a finite number{where}, got {shown!r}")
 
 
 @dataclass(frozen=True)

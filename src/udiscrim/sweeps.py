@@ -11,6 +11,7 @@ columns.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,8 @@ from .detection import (
     analytic_p2,
 )
 from .drift import DriftModel, StabilizerConfig
-from .montecarlo import Counts, ExperimentConfig, fractions_from_blocks, run_experiment
+from .montecarlo import (Counts, ExperimentConfig, ExperimentResult, fractions_from_blocks,
+                         run_experiment)
 from .network import NStatePlan, Plan, SplitterPlan
 from .optics import ComplexAmplitude, as_integer, as_real, from_intensity_phase
 
@@ -120,91 +122,80 @@ def _subseed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((seed, *tags)).generate_state(1, np.uint64)[0])
 
 
-def _config(
-    params: ScenarioParams,
-    programs: tuple[ComplexAmplitude, ...],
-    plan: Plan,
-    detectors: tuple[DetectorModel, ...],
-    interference: tuple[InterferenceModel, ...],
-    true_index: int,
-    seed: int,
-) -> ExperimentConfig:
-    """One truth-conditioned experiment: the unknown always equals
-    ``programs[true_index]``; drift and the lock follow ``params``."""
-    return ExperimentConfig(
-        programs=programs,
-        plan=plan,
-        detectors=detectors,
-        interference=interference,
-        priors=tuple(float(j == true_index) for j in range(len(programs))),
-        trials_per_block=params.trials,
-        blocks=params.blocks,
-        seed=seed,
-        drift=DriftModel(params.drift_sigma) if params.drift_sigma != 0.0 else None,
-        stabilizer=StabilizerConfig() if params.stabilize else None,
-    )
+def _runner(params: ScenarioParams, plan: Plan, detectors: tuple[DetectorModel, ...],
+            interference: tuple[InterferenceModel, ...],
+            workers: int) -> Callable[[tuple[ComplexAmplitude, ...], int, int], ExperimentResult]:
+    """``run(programs, k, seed)``: one truth-conditioned experiment, the
+    unknown always equal to ``programs[k]``.  Every run shares the models
+    given here and one drift model and lock built from ``params``."""
+    drift = DriftModel(params.drift_sigma) if params.drift_sigma != 0.0 else None
+    stabilizer = StabilizerConfig() if params.stabilize else None
+
+    def run(programs: tuple[ComplexAmplitude, ...], k: int, seed: int) -> ExperimentResult:
+        cfg = ExperimentConfig(
+            programs=programs, plan=plan, detectors=detectors, interference=interference,
+            priors=tuple(float(j == k) for j in range(len(programs))),
+            trials_per_block=params.trials, blocks=params.blocks, seed=seed,
+            drift=drift, stabilizer=stabilizer,
+        )
+        return run_experiment(cfg, workers)
+
+    return run
 
 
-def _row(
-    params: ScenarioParams,
-    x: float,
-    point: int,
-    runs: tuple[tuple[ComplexAmplitude, ComplexAmplitude, int], ...],
-    workers: int,
-) -> tuple[float, ...]:
-    """One sweep row from two runs, each given as ``(alpha1, alpha2,
-    true_index)``: the first feeds the j=1 columns, the second the j=2
-    columns, and both pool into the inconclusive column."""
+def _two_state_table(name: str, spec: SweepSpec, params: ScenarioParams, workers: int,
+                     runs_at: Callable[[float], tuple]) -> Table:
+    """One row per grid value x from the two runs ``runs_at(x)``, each
+    given as ``(alpha1, alpha2, true_index)``: the first feeds the j=1
+    columns, the second the j=2 columns, and both pool into the
+    inconclusive column."""
     plan = SplitterPlan(params.t0)
     detectors = (DetectorModel(params.eta1, params.dark), DetectorModel(params.eta2, params.dark))
-    interference = (InterferenceModel(params.vis1), InterferenceModel(params.vis2))
-    measured, analytic, ideal, errors = [], [], [], []
-    blocks: tuple[Counts, ...] = ()
-    for tag, (alpha1, alpha2, k) in enumerate(runs, start=1):
-        cfg = _config(
-            params, (alpha1, alpha2), plan, detectors, interference, k,
-            _subseed(params.seed, point, tag),
-        )
-        res = run_experiment(cfg, workers)
-        f = res.fractions
-        measured += [float(f.p_plus[k]), float(f.p_minus[k])]
-        errors += [float(f.se_p_plus[k]), float(f.se_p_minus[k])]
-        blocks += res.block_counts
-        # Truth k is identified by a click at the other state's port.
-        closed_form, eta = (analytic_p1, params.eta2) if k == 0 else (analytic_p2, params.eta1)
-        analytic.append(closed_form(alpha1, alpha2, params.t0, eta))
-        ideal.append(closed_form(alpha1, alpha2, params.t0, 1.0))
-    pooled = fractions_from_blocks(blocks)
-    return (
-        x, *measured, pooled.p_inconclusive, *analytic, *ideal, *errors,
-        pooled.se_p_inconclusive,
-    )
+    visibilities = (InterferenceModel(params.vis1), InterferenceModel(params.vis2))
+    run = _runner(params, plan, detectors, visibilities, workers)
+    rows = []
+    for point, x in enumerate(spec.grid().tolist()):
+        measured, analytic, ideal, errors = [], [], [], []
+        blocks: tuple[Counts, ...] = ()
+        for tag, (alpha1, alpha2, k) in enumerate(runs_at(x), start=1):
+            res = run((alpha1, alpha2), k, _subseed(params.seed, point, tag))
+            f = res.fractions
+            measured += [float(f.p_plus[k]), float(f.p_minus[k])]
+            errors += [float(f.se_p_plus[k]), float(f.se_p_minus[k])]
+            blocks += res.block_counts
+            # Truth k is identified by a click at the other state's port.
+            closed_form, eta = (analytic_p1, params.eta2) if k == 0 else (analytic_p2, params.eta1)
+            analytic.append(closed_form(alpha1, alpha2, params.t0, eta))
+            ideal.append(closed_form(alpha1, alpha2, params.t0, 1.0))
+        pooled = fractions_from_blocks(blocks)
+        rows.append((x, *measured, pooled.p_inconclusive, *analytic, *ideal, *errors,
+                     pooled.se_p_inconclusive))
+    return Table(name, RESULT_COLUMNS, tuple(rows))
 
 
 def sweep_phase(spec: SweepSpec, params: ScenarioParams, workers: int = 1) -> Table:
     """Fractions against the phase difference (degrees) between the two
     program states, at fixed intensities."""
-    rows = []
-    for i, x in enumerate(spec.grid()):
+    def runs_at(x: float) -> tuple:
         alpha1 = from_intensity_phase(params.intensity1, math.radians(params.phase1_deg))
-        alpha2 = from_intensity_phase(
-            params.intensity2, math.radians(params.phase1_deg + x)
-        )
-        rows.append(_row(params, float(x), i, ((alpha1, alpha2, 0), (alpha1, alpha2, 1)), workers))
-    return Table("phase_sweep", RESULT_COLUMNS, tuple(rows))
+        alpha2 = from_intensity_phase(params.intensity2, math.radians(params.phase1_deg + x))
+        return (alpha1, alpha2, 0), (alpha1, alpha2, 1)
+
+    return _two_state_table("phase_sweep", spec, params, workers, runs_at)
 
 
 def sweep_intensity(spec: SweepSpec, params: ScenarioParams, workers: int = 1) -> Table:
     """Fractions against the common mean photon number of both program
     states, at the phase difference fixed by ``params`` (180 degrees by
     default, where the states are farthest apart)."""
-    rows = []
     dphi = math.radians(params.phase2_deg - params.phase1_deg)
-    for i, x in enumerate(spec.grid()):
-        alpha1 = from_intensity_phase(float(x), math.radians(params.phase1_deg))
-        alpha2 = from_intensity_phase(float(x), math.radians(params.phase1_deg) + dphi)
-        rows.append(_row(params, float(x), i, ((alpha1, alpha2, 0), (alpha1, alpha2, 1)), workers))
-    return Table("intensity_sweep", RESULT_COLUMNS, tuple(rows))
+
+    def runs_at(x: float) -> tuple:
+        alpha1 = from_intensity_phase(x, math.radians(params.phase1_deg))
+        alpha2 = from_intensity_phase(x, math.radians(params.phase1_deg) + dphi)
+        return (alpha1, alpha2, 0), (alpha1, alpha2, 1)
+
+    return _two_state_table("intensity_sweep", spec, params, workers, runs_at)
 
 
 def sweep_ratio(spec: SweepSpec, params: ScenarioParams, workers: int = 1) -> Table:
@@ -216,16 +207,15 @@ def sweep_ratio(spec: SweepSpec, params: ScenarioParams, workers: int = 1) -> Ta
     carry the matching pair of curves; both pairs coincide at r=0 where
     state 2 is vacuum and the phase is meaningless.
     """
-    rows = []
     phi1 = math.radians(params.phase1_deg)
-    for i, x in enumerate(spec.grid()):
-        r = float(x)
+
+    def runs_at(r: float) -> tuple:
         alpha1 = from_intensity_phase(params.intensity1, phi1)
         alpha2_opp = from_intensity_phase(r * params.intensity1, phi1 + math.pi)
         alpha2_same = from_intensity_phase(r * params.intensity1, phi1)
-        runs = ((alpha1, alpha2_opp, 0), (alpha1, alpha2_same, 0))
-        rows.append(_row(params, r, i, runs, workers))
-    return Table("ratio_sweep", RESULT_COLUMNS, tuple(rows))
+        return (alpha1, alpha2_opp, 0), (alpha1, alpha2_same, 0)
+
+    return _two_state_table("ratio_sweep", spec, params, workers, runs_at)
 
 
 def ring_programs(n: int, intensity: float, phase_deg: float = 0.0) -> tuple[ComplexAmplitude, ...]:
@@ -255,23 +245,13 @@ def nstate_report(
     plan = NStatePlan(n)
     if programs is None:
         programs = ring_programs(n, params.intensity1, params.phase1_deg)
-    det = DetectorModel(params.eta1, params.dark)
+    run = _runner(params, plan, (DetectorModel(params.eta1, params.dark),),
+                  (InterferenceModel(params.vis1),), workers)
     ideal_det = DetectorModel(params.eta1, 0.0)
-    vis = InterferenceModel(params.vis1)
     rows = []
     for k in range(n):
-        cfg = _config(params, programs, plan, (det,), (vis,), k, _subseed(params.seed, k, 0))
-        res = run_experiment(cfg, workers)
-        rows.append(
-            (
-                k + 1,
-                analytic_nstate_success(programs, k, plan, ideal_det),
-                float(res.fractions.p_plus[k]),
-                float(res.fractions.p_minus[k]),
-                res.fractions.p_inconclusive,
-                float(res.fractions.se_p_plus[k]),
-                float(res.fractions.se_p_minus[k]),
-                float(res.fractions.se_p_inconclusive),
-            )
-        )
+        f = run(programs, k, _subseed(params.seed, k, 0)).fractions
+        rows.append((k + 1, analytic_nstate_success(programs, k, plan, ideal_det),
+                     float(f.p_plus[k]), float(f.p_minus[k]), f.p_inconclusive,
+                     float(f.se_p_plus[k]), float(f.se_p_minus[k]), float(f.se_p_inconclusive)))
     return Table(f"nstate_report_n{n}", NSTATE_COLUMNS, tuple(rows))

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -210,3 +212,47 @@ class TestNStateReport:
     def test_program_count_must_match(self):
         with pytest.raises(ValueError):
             nstate_report(3, fast_params(), programs=(1 + 0j, -1 + 0j))
+
+
+class TestExperimentOrder:
+    """The benchmark's Recorder wraps ``sweeps.run_experiment`` and appends
+    each call as it returns; its checks match the calls to their truths by
+    position.  So every preset must run its experiments in this process,
+    one after another, in truth order."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        sink = []
+        original = sweeps.run_experiment
+
+        def recorded(cfg, workers=1):
+            res = original(cfg, workers)
+            sink.append((cfg, workers, os.getpid(), threading.get_ident()))
+            return res
+
+        monkeypatch.setattr(sweeps, "run_experiment", recorded)
+        return sink
+
+    @staticmethod
+    def assert_in_process(calls, workers):
+        assert {c[1:] for c in calls} == {(workers, os.getpid(), threading.get_ident())}
+
+    def test_nstate_report_runs_its_truths_in_order(self, calls):
+        params = fast_params(trials=500, blocks=2)
+        nstate_report(4, params, workers=2)
+        self.assert_in_process(calls, 2)
+        assert [cfg.priors for cfg, *_ in calls] == [
+            tuple(float(j == k) for j in range(4)) for k in range(4)
+        ]
+        assert [cfg.seed for cfg, *_ in calls] == [
+            sweeps._subseed(params.seed, k, 0) for k in range(4)
+        ]
+
+    def test_sweep_ratio_runs_its_points_and_tags_in_order(self, calls):
+        params = fast_params(trials=500, blocks=2)
+        sweep_ratio(SweepSpec(0.0, 2.0, 3), params)
+        self.assert_in_process(calls, 1)
+        assert [cfg.priors for cfg, *_ in calls] == [(1.0, 0.0)] * 6
+        assert [cfg.seed for cfg, *_ in calls] == [
+            sweeps._subseed(params.seed, point, tag) for point in range(3) for tag in (1, 2)
+        ]

@@ -142,6 +142,13 @@ def test_non_finite_input_is_rejected(build):
                      r"phase_errors\[2\] must be a finite number", id="nstate-amplitudes-nan"),
         pytest.param(lambda: nstate_amplitudes(1.0 + 0j, RING, NStatePlan(3), (0.0, math.inf, 0.0)),
                      r"phase_errors\[1\] must be a finite number", id="nstate-amplitudes-inf"),
+        # A rejected numpy scalar is shown by its Python value, not its repr.
+        pytest.param(lambda: DetectorModel(np.float64(math.nan)),
+                     r"eta must be a finite number in \[0, 1\], got nan$", id="eta-numpy-nan"),
+        pytest.param(lambda: nstate_amplitudes(1.0 + 0j, RING, NStatePlan(3),
+                                               np.array([math.nan, 0.0, 0.0])),
+                     r"phase_errors\[0\] must be a finite number, got nan$",
+                     id="nstate-amplitudes-numpy-nan"),
         pytest.param(lambda: nstate_port_contributions(1.0 + 0j, RING, NStatePlan(3),
                                                        (math.nan, 0.0, 0.0)),
                      r"phase_errors\[0\] must be a finite number", id="nstate-contributions-nan"),
@@ -152,6 +159,9 @@ def test_non_finite_input_is_rejected(build):
         # or the click law it would reach.
         pytest.param(lambda: evolve([math.nan, 0.0], DriftModel(0.1), np.random.default_rng(0)),
                      r"phases\[0\] must be a finite number, got nan", id="evolve-phase-nan"),
+        # Without drift the step is skipped, but the input is still checked.
+        pytest.param(lambda: evolve([math.nan, 0.0], DriftModel(0.0), np.random.default_rng(0)),
+                     r"phases\[0\] must be a finite number, got nan", id="evolve-no-drift-nan"),
         pytest.param(lambda: stabilize([0.0, math.nan], StabilizerConfig(), [_probe()] * 2,
                                        np.random.default_rng(0)),
                      r"phases\[1\] must be a finite number, got nan", id="stabilize-phase-nan"),
