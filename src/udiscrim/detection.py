@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .network import NStatePlan
-from .optics import ComplexAmplitude, as_integer, as_real, intensity
+from .optics import ComplexAmplitude, as_integer, as_real, as_reals, intensity
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,9 @@ def nstate_success_from_distances(
     """Success probability given the squared distances |alpha_j - alpha_k|^2
     from the true state k to every other program state (dark counts off)."""
     n = as_integer("n", n, 2)
-    if len(squared_distances) != n - 1:
-        raise ValueError(f"expected {n - 1} squared distances, got {len(squared_distances)}")
+    squared_distances = as_reals("squared_distances", squared_distances, n - 1, 0)
     eta = as_real("eta", eta, 0, 1)
-    p = 1.0
-    for j, d2 in enumerate(squared_distances):
-        p *= -math.expm1(-eta * as_real(f"squared_distances[{j}]", d2, 0) / (n + 1))
-    return p
+    return math.prod(-math.expm1(-eta * d2 / (n + 1)) for d2 in squared_distances)
 
 
 def analytic_nstate_success(

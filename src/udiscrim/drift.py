@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import DetectorModel, click_probability
-from .optics import as_integer, as_real
+from .optics import as_integer, as_real, as_reals
 
 # The same bound as a block's trials; numpy's binomial draw takes a C long.
 MAX_PROBE_TRIALS = 10**10
@@ -76,27 +76,17 @@ class ProbeModel:
         return self.visibility * coherent + (1.0 - self.visibility) * 2.0 * base
 
 
-def _check_phases(phases: np.ndarray) -> None:
-    """One vector check; ``as_real`` runs only to name a non-finite phase."""
-    if not np.isfinite(phases).all():
-        for j, phi in enumerate(phases):
-            as_real(f"phases[{j}]", phi, -math.inf)
-
-
 def evolve(phases: np.ndarray, drift: DriftModel, rng: np.random.Generator) -> np.ndarray:
-    """One random-walk step of every loop's phase error; a non-finite input
-    phase, or a step that overflows one, raises ``ValueError`` instead of
-    running on inf."""
-    phases = np.asarray(phases, dtype=float)
-    if drift.sigma == 0.0:
-        _check_phases(phases)
-        return phases.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        stepped = phases + rng.normal(0.0, drift.sigma, size=phases.shape)
-    if not np.isfinite(stepped).all():
-        _check_phases(phases)
-        raise ValueError(f"drift sigma {drift.sigma} took a phase past the float range")
-    return stepped
+    """One random-walk step of every loop's phase error.  A non-finite input
+    phase is a ``ValueError`` that names it, and a step that takes a phase
+    past the float range is one too, instead of running on inf."""
+    phases = as_reals("phases", phases, None, -math.inf)
+    if drift.sigma != 0.0:
+        steps = rng.normal(0.0, drift.sigma, size=len(phases)).tolist()
+        phases = [phi + step for phi, step in zip(phases, steps)]
+        if not all(map(math.isfinite, phases)):
+            raise ValueError(f"drift sigma {drift.sigma} took a phase past the float range")
+    return np.array(phases)
 
 
 def _estimate_mean_photons(clicks: int, trials: int, det: DetectorModel) -> float:
@@ -118,11 +108,10 @@ def stabilize(
     The dark-port rate goes as 2 - 2 cos(phi), so the rate difference at
     phi +/- dither is proportional to sin(phi); reading it off at the two
     dither points gives a signed estimate of the residual phase, which is
-    pulled toward zero with the configured gain.  A non-finite phase is a
-    ``ValueError`` that names it.
+    pulled toward zero with the configured gain.  ``phases`` holds one
+    phase per probe; a non-finite one is a ``ValueError`` that names it.
     """
-    phases = np.asarray(phases, dtype=float).copy()
-    _check_phases(phases)
+    phases = as_reals("phases", phases, len(probes), -math.inf)
     m = cfg.probe_trials
     used = 0
     for loop, pm in enumerate(probes):
@@ -139,7 +128,7 @@ def stabilize(
         sin_phi = (n_hi - n_lo) / signal
         estimate = math.asin(min(1.0, max(-1.0, sin_phi)))
         phases[loop] -= cfg.gain * estimate
-    return phases, used
+    return np.array(phases), used
 
 
 def fringe_visibility_equivalent(phi: float) -> float:

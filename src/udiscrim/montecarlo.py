@@ -72,7 +72,7 @@ from .network import (
     outcome_from_clicks,
     port_contributions,
 )
-from .optics import ComplexAmplitude, as_integer, as_real, intensity
+from .optics import ComplexAmplitude, as_integer, as_real, as_reals, intensity
 
 _CHUNK = 1 << 16
 # Draws per slice of a chunk (393 KB; 4096 trials at n = 8).  A budget in
@@ -192,9 +192,7 @@ class ExperimentConfig:
         object.__setattr__(self, "detectors", _broadcast(self.detectors, n, "detectors"))
         object.__setattr__(self, "interference", _broadcast(self.interference, n, "interference"))
         priors = (1.0 / n,) * n if self.priors is None else self.priors
-        if len(priors) != n:
-            raise ValueError(f"expected {n} priors, got {len(priors)}")
-        priors = tuple(as_real(f"priors[{j}]", p, 0, 1) for j, p in enumerate(priors))
+        priors = tuple(as_reals("priors", priors, n, 0, 1))
         if abs(sum(priors) - 1.0) > 1e-9:
             raise ValueError(f"priors must sum to 1, got {sum(priors)}")
         object.__setattr__(self, "priors", priors)
@@ -231,8 +229,6 @@ class ExperimentResult:
 
 def click_matrix(cfg: ExperimentConfig, phases=None) -> np.ndarray:
     """Click probabilities P[k, j]: detector j firing when state k was sent."""
-    # Python floats, since np.float64 arithmetic is slow in the per-port loops.
-    phases = None if phases is None else tuple(float(p) for p in phases)
     programs, plan = cfg.programs, cfg.plan
     ports = tuple(zip(cfg.interference, cfg.detectors))
     rows = []

@@ -29,6 +29,7 @@ from .optics import (
     apply_phase,
     as_integer,
     as_real,
+    as_reals,
     bs_transform,
 )
 
@@ -123,20 +124,6 @@ class NStatePlan:
 Plan = SplitterPlan | NStatePlan
 
 
-def _phases(n: int, phase_errors) -> tuple[float, ...]:
-    """One finite phase error per loop, ``None`` meaning none; ``as_real`` names a bad one."""
-    if phase_errors is None:
-        return (0.0,) * n
-    if len(phase_errors) != n:
-        raise ValueError(f"expected {n} phase errors, got {len(phase_errors)}")
-    try:
-        if all(map(math.isfinite, phase_errors)):
-            return tuple(phase_errors)
-    except (TypeError, OverflowError):  # not a real, or an int past the float range
-        pass
-    return tuple(as_real(f"phase_errors[{j}]", p, -math.inf) for j, p in enumerate(phase_errors))
-
-
 def port_contributions(
     alpha_unknown: ComplexAmplitude,
     alpha_1: ComplexAmplitude,
@@ -151,7 +138,9 @@ def port_contributions(
     visibility model needs.  ``phase_errors`` are extra phases picked up
     on the unknown's arm of each loop (drift); ``None`` means none.
     """
-    phi_1, phi_2 = _phases(2, phase_errors)
+    if phase_errors is None:
+        phase_errors = (0.0, 0.0)
+    phi_1, phi_2 = as_reals("phase_errors", phase_errors, 2, -math.inf)
     bs0, bs1, bs2 = plan.splitters
     u_to_1, u_to_2 = bs_transform(alpha_unknown, 0j, bs0)
     u_to_1, u_to_2 = apply_phase(u_to_1 * _TRIM, phi_1), apply_phase(u_to_2, phi_2)
@@ -213,7 +202,9 @@ def nstate_port_contributions(
     n = plan.n
     if len(programs) != n:
         raise ValueError(f"expected {n} program states, got {len(programs)}")
-    phases = _phases(n, phase_errors)
+    if phase_errors is None:
+        phase_errors = (0.0,) * n
+    phases = as_reals("phase_errors", phase_errors, n, -math.inf)
     stage = plan.stage
     return [
         (bs_transform(apply_phase(arm, phi), 0j, stage)[0], bs_transform(0j, program, stage)[0])

@@ -3,8 +3,9 @@
 A coherent state is represented by one complex number; its squared modulus
 is the mean photon number per pulse.  The only elements needed here are
 phase shifters and lossless two-port beam splitters.  ``as_integer`` is the
-package's one check for counts, seeds and state numbers, and ``as_real`` its
-one check for finite, ranged real inputs, which it keeps as Python floats.
+package's one check for counts, seeds and state numbers, ``as_real`` its one
+check for finite, ranged reals, which it keeps as Python floats, and
+``as_reals`` its one check for a vector of them, such as one phase per loop.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 ComplexAmplitude = complex
@@ -39,8 +41,32 @@ def as_real(name: str, value, lo: float, hi: float = math.inf, *, open_lo: bool 
     if math.isfinite(x) and (lo < x if open_lo else lo <= x) and x <= hi:
         return x
     where = "" if lo == -hi == -math.inf else f" in {'(' if open_lo else '['}{lo:g}, {hi:g}]"
-    shown = value.item() if isinstance(value, numbers.Number) and hasattr(value, "item") else value
-    raise ValueError(f"{name} must be a finite number{where}, got {shown!r}")
+    raise ValueError(f"{name} must be a finite number{where}, got {_shown(value)!r}")
+
+
+def as_reals(name: str, values, n: int | None, lo: float, hi: float = math.inf) -> list[float]:
+    """``values`` as a list of Python floats, if it has ``n`` entries (any
+    number for ``None``) that ``as_real`` accepts; otherwise a ``ValueError``
+    naming ``name``, or ``name[j]`` for a rejected entry.  One pass screens
+    for finite floats in range; ``as_real`` runs only when an entry fails it."""
+    try:
+        k = len(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {_shown(values)!r}") from None
+    if n is not None and k != n:
+        raise ValueError(f"expected {n} {name.replace('_', ' ')}, got {k}")
+    xs = values.tolist() if hasattr(values, "tolist") else list(values)
+    # Bounds clipped to the float range, so one comparison also rejects inf and NaN.
+    lo_, hi_ = max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
+    for x in xs:
+        if type(x) is not float or not lo_ <= x <= hi_:
+            return [as_real(f"{name}[{j}]", x, lo, hi) for j, x in enumerate(xs)]
+    return xs
+
+
+def _shown(value):
+    """A rejected value as a message shows it: a numpy scalar by its Python value."""
+    return value.item() if isinstance(value, numbers.Number) and hasattr(value, "item") else value
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from .detection import (
     analytic_p2,
 )
 from .drift import DriftModel, StabilizerConfig
-from .montecarlo import (Counts, ExperimentConfig, ExperimentResult, fractions_from_blocks,
-                         run_experiment)
+from .montecarlo import (MAX_BLOCKS, MAX_TRIALS_PER_BLOCK, Counts, ExperimentConfig,
+                         ExperimentResult, fractions_from_blocks, run_experiment)
 from .network import NStatePlan, Plan, SplitterPlan
 from .optics import ComplexAmplitude, as_integer, as_real, from_intensity_phase
 
@@ -90,7 +90,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Fixed experiment parameters shared by every point of a sweep."""
+    """Fixed experiment parameters shared by every point of a sweep; each
+    field is checked, and named, when the parameters are built."""
 
     t0: float = 0.5
     eta1: float = 0.53
@@ -108,6 +109,19 @@ class ScenarioParams:
     drift_sigma: float = 0.0
     stabilize: bool = False
 
+    def __post_init__(self) -> None:
+        for names, lo, hi in ((("t0", "eta1", "eta2", "vis1", "vis2"), 0, 1),
+                              (("dark", "intensity1", "intensity2", "drift_sigma"), 0, math.inf),
+                              (("phase1_deg", "phase2_deg"), -math.inf, math.inf)):
+            for name in names:
+                object.__setattr__(self, name, as_real(name, getattr(self, name), lo, hi))
+        for name, lo, hi in (("trials", 1, MAX_TRIALS_PER_BLOCK), ("blocks", 1, MAX_BLOCKS),
+                             ("seed", 0, None)):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), lo, hi))
+        if not isinstance(self.stabilize, (bool, np.bool_)):
+            raise ValueError(f"stabilize must be True or False, got {self.stabilize!r}")
+        object.__setattr__(self, "stabilize", bool(self.stabilize))
+
 
 @dataclass(frozen=True)
 class Table:
@@ -117,8 +131,7 @@ class Table:
 
 
 def _subseed(seed: int, *tags: int) -> int:
-    # Every sweep derives its experiment seeds here first.
-    seed = as_integer("seed", seed, 0)
+    # Every sweep derives its experiment seeds here, from the checked params.seed.
     return int(np.random.SeedSequence((seed, *tags)).generate_state(1, np.uint64)[0])
 
 
@@ -240,8 +253,7 @@ def nstate_report(
     evenly in phase; detector 1's efficiency and loop 1's visibility apply
     to every port.  The k column is the 1-based hypothesis label.
     """
-    if not 2 <= n <= MAX_STATES:
-        raise ValueError(f"need 2 to {MAX_STATES} program states, got n={n}")
+    n = as_integer("n", n, 2, MAX_STATES)
     plan = NStatePlan(n)
     if programs is None:
         programs = ring_programs(n, params.intensity1, params.phase1_deg)

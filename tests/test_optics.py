@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from udiscrim.optics import (
     BeamSplitter,
     apply_phase,
+    as_real,
+    as_reals,
     bs_transform,
     from_intensity_phase,
     intensity,
@@ -114,3 +118,46 @@ class TestFromIntensityPhase:
     def test_non_finite_input_rejected(self, n, phi, what):
         with pytest.raises(ValueError, match=what):
             from_intensity_phase(n, phi)
+
+
+# Python and numpy reals, in and out of [0, 1] and of the float range, and
+# values that are no real at all.
+ENTRIES = [0.25, 1, True, Fraction(1, 3), np.float32(0.5), np.float64(1.0), np.int64(0),
+           -0.5, 1.5, math.nan, math.inf, -math.inf, 10**400, np.float64(math.nan),
+           1j, "0.5", None, np.array([0.5]), np.array(0.5), [0.5]]
+
+
+class TestAsReals:
+    @pytest.mark.parametrize("entry", ENTRIES, ids=repr)
+    def test_accepts_an_entry_exactly_when_as_real_does(self, entry):
+        try:
+            expected = as_real("x[1]", entry, 0, 1)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                as_reals("x", [0.5, entry], 2, 0, 1)
+        else:
+            got = as_reals("x", [0.5, entry], 2, 0, 1)
+            assert got == [0.5, expected]
+            assert [type(x) for x in got] == [float, float]
+
+    def test_reads_an_array_as_python_floats(self):
+        got = as_reals("x", np.array([1, 2], dtype=np.int32), 2, -math.inf)
+        assert got == [1.0, 2.0]
+        assert [type(x) for x in got] == [float, float]
+
+    @pytest.mark.parametrize(
+        "values, n, message",
+        [
+            ((0.1, 0.2), 3, "expected 3 phase errors, got 2$"),
+            (0.1, 1, "phase_errors must be a sequence, got 0.1$"),
+            (np.float64(0.1), 1, "phase_errors must be a sequence, got 0.1$"),
+            (np.array(0.1), 1, "phase_errors must be a sequence"),
+        ],
+    )
+    def test_names_a_wrong_length_or_a_value_with_none(self, values, n, message):
+        with pytest.raises(ValueError, match=message):
+            as_reals("phase_errors", values, n, -math.inf)
+
+    def test_any_length_for_none(self):
+        assert as_reals("x", [], None, 0) == []
+        assert as_reals("x", (0.0,) * 5, None, 0) == [0.0] * 5

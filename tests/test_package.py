@@ -1,6 +1,7 @@
 """The package's export list: ``__init__`` names each export twice, in its
 imports and in ``__all__``, and the two must agree.  And the integer rule
-for counts, seeds and state numbers has one owner, ``optics.as_integer``."""
+for counts, seeds and state numbers has one owner, ``optics.as_integer``,
+as the rule for vectors of reals has ``optics.as_reals``."""
 
 import re
 import types
@@ -29,4 +30,13 @@ def test_integer_rule_has_one_owner():
     # and message; every entry calls the owner instead.
     sources = Path(udiscrim.__file__).parent.glob("*.py")
     users = sorted(p.name for p in sources if re.search(r"\bIntegral\b", p.read_text()))
+    assert users == ["optics.py"]
+
+
+def test_vector_rule_has_one_owner():
+    # A per-entry as_real loop, named "phases[{j}]" and the like, is a second
+    # vector rule beside optics.as_reals; only as_reals itself writes one.
+    sources = Path(udiscrim.__file__).parent.glob("*.py")
+    entry = re.compile(r"""as_real\(\s*f["'][^"']*\[\{\w+\}\]["']""")
+    users = sorted(p.name for p in sources if entry.search(p.read_text()))
     assert users == ["optics.py"]

@@ -206,7 +206,8 @@ class TestNStateReport:
 
         monkeypatch.setattr(sweeps, "ring_programs", tripwire)
         for n in (1, MAX_STATES + 1):
-            with pytest.raises(ValueError, match=f"got n={n}"):
+            message = f"n must be an integer >= 2 and at most {MAX_STATES}, got {n}$"
+            with pytest.raises(ValueError, match=message):
                 nstate_report(n, ScenarioParams(trials=10, blocks=1))
 
     def test_program_count_must_match(self):

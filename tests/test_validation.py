@@ -31,6 +31,8 @@ from udiscrim.drift import (
     stabilize,
 )
 from udiscrim.montecarlo import (
+    MAX_BLOCKS,
+    MAX_TRIALS_PER_BLOCK,
     ExperimentConfig,
     binomial_stderr,
     click_matrix,
@@ -48,7 +50,7 @@ from udiscrim.network import (
     port_contributions,
 )
 from udiscrim.optics import BeamSplitter, from_intensity_phase
-from udiscrim.sweeps import SweepSpec, ring_programs
+from udiscrim.sweeps import ScenarioParams, SweepSpec, nstate_report, ring_programs
 
 RING = (1.0 + 0j, 1j, -1.0 + 0j)
 
@@ -343,6 +345,73 @@ def test_non_finite_input_is_rejected(build):
         pytest.param(lambda: _config(None, programs=(from_intensity_phase(1e13, 0.0), -1.0 + 0j)),
                      r"programs\[0\] intensity must be a finite number in \[0, 1e\+12\]",
                      id="program-intensity-above-cap"),
+        # Every entry of a phase vector goes through optics.as_reals: a string,
+        # a complex or an int past the float range is named, not left to a
+        # bare conversion error, a TypeError or an OverflowError.
+        *[
+            pytest.param(call, rf"{name}\[{j}\] must be a finite number, got {shown}",
+                         id=f"{where}-{what}")
+            for what, bad, shown in (("string", "a", "'a'"), ("complex", 1j, "1j"),
+                                     ("int-past-float-range", 10**400, "1000"))
+            for where, name, j, call in (
+                ("click-matrix", "phase_errors", 1,
+                 lambda bad=bad: click_matrix(_config(None), [0.0, bad])),
+                ("run-trial", "phase_errors", 0,
+                 lambda bad=bad: run_trial(_config(None), 0, [bad, 0.0])),
+                ("evolve", "phases", 1,
+                 lambda bad=bad: evolve([0.0, bad], DriftModel(0.1), np.random.default_rng(0))),
+                ("stabilize", "phases", 0,
+                 lambda bad=bad: stabilize([bad, 0.0], StabilizerConfig(), [_probe()] * 2,
+                                           np.random.default_rng(0))),
+            )
+        ],
+        # evolve takes a vector of phases: a column or a scalar is not one.
+        pytest.param(lambda: evolve(np.array([[0.1], [0.2]]), DriftModel(0.1),
+                                    np.random.default_rng(0)),
+                     r"phases\[0\] must be a finite number, got \[0.1\]$", id="evolve-column"),
+        pytest.param(lambda: evolve(0.5, DriftModel(0.1), np.random.default_rng(0)),
+                     "phases must be a sequence, got 0.5$", id="evolve-scalar"),
+        # The lock corrects one phase per probe: a third phase was left
+        # uncorrected, and a missing one ended in an IndexError.
+        pytest.param(lambda: stabilize([0.1, 0.2, 0.3], StabilizerConfig(), [_probe()] * 2,
+                                       np.random.default_rng(0)),
+                     "expected 2 phases, got 3$", id="stabilize-phase-more"),
+        pytest.param(lambda: stabilize([0.1], StabilizerConfig(), [_probe()] * 2,
+                                       np.random.default_rng(0)),
+                     "expected 2 phases, got 1$", id="stabilize-phase-fewer"),
+        # ScenarioParams names its own fields, not the model a bad value reaches.
+        *[
+            pytest.param(lambda field=field, bad=bad: ScenarioParams(**{field: bad}),
+                         rf"{field} must be a finite number{where}, got {bad}$",
+                         id=f"params-{field}-{bad}")
+            for field, bad, where in (
+                ("t0", math.nan, r" in \[0, 1\]"), ("eta1", -0.1, r" in \[0, 1\]"),
+                ("eta2", 1.5, r" in \[0, 1\]"), ("vis1", math.nan, r" in \[0, 1\]"),
+                ("vis2", 7.0, r" in \[0, 1\]"), ("dark", math.inf, r" in \[0, inf\]"),
+                ("intensity1", -1.0, r" in \[0, inf\]"),
+                ("intensity2", math.nan, r" in \[0, inf\]"),
+                ("drift_sigma", -0.1, r" in \[0, inf\]"),
+                ("phase1_deg", math.nan, ""), ("phase2_deg", -math.inf, ""),
+            )
+        ],
+        pytest.param(lambda: ScenarioParams(trials=10.0),
+                     f"trials must be an integer >= 1 and at most {MAX_TRIALS_PER_BLOCK}, "
+                     "got 10.0$", id="params-trials-float"),
+        pytest.param(lambda: ScenarioParams(trials=MAX_TRIALS_PER_BLOCK + 1), "trials must be",
+                     id="params-trials-above-cap"),
+        pytest.param(lambda: ScenarioParams(blocks=0), "blocks must be an integer >= 1",
+                     id="params-blocks-zero"),
+        pytest.param(lambda: ScenarioParams(blocks=MAX_BLOCKS + 1),
+                     f"blocks must be an integer >= 1 and at most {MAX_BLOCKS}, got",
+                     id="params-blocks-above-cap"),
+        pytest.param(lambda: ScenarioParams(seed=-1), "seed must be an integer >= 0, got -1$",
+                     id="params-seed-negative"),
+        pytest.param(lambda: ScenarioParams(stabilize="no"),
+                     "stabilize must be True or False, got 'no'$", id="params-stabilize-string"),
+        pytest.param(lambda: ScenarioParams(stabilize=1), "stabilize must be True or False, got 1$",
+                     id="params-stabilize-int"),
+        pytest.param(lambda: nstate_report("3", ScenarioParams(trials=10, blocks=1)),
+                     "n must be an integer >= 2 and at most 64, got 3$", id="nstate-n-string"),
     ],
 )
 def test_inconsistent_input_is_rejected(build, message):
