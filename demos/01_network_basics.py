@@ -38,12 +38,12 @@ print(" for equally likely program states)\n")
 # pulse equal to the first.
 alpha1 = from_intensity_phase(1.0, 0.0)
 alpha2 = from_intensity_phase(1.0, math.pi)
-ports = detector_amplitudes(alpha1, alpha1, alpha2, plan)
+ports = detector_amplitudes(alpha1, (alpha1, alpha2), plan)
 print("unknown = program 1:")
 print(f"  detector 1 sees {intensity(ports[0]):.3e} photons -> perfectly dark")
 print(f"  detector 2 sees {intensity(ports[1]):.4f} photons = |a2-a1|^2/3\n")
 
-ports = detector_amplitudes(alpha2, alpha1, alpha2, plan)
+ports = detector_amplitudes(alpha2, (alpha1, alpha2), plan)
 print("unknown = program 2: the roles swap")
 print(f"  detector 1: {intensity(ports[0]):.4f}, detector 2: {intensity(ports[1]):.3e}\n")
 
@@ -63,5 +63,5 @@ for pattern in [(False, False), (True, False), (False, True), (True, True)]:
 print("\ndark-port residuals across input ratios:")
 for t0 in (0.1, 0.3, 0.7, 0.9):
     plan = SplitterPlan(t0)
-    leak = abs(detector_amplitudes(alpha1, alpha1, alpha2, plan)[0])
+    leak = abs(detector_amplitudes(alpha1, (alpha1, alpha2), plan)[0])
     print(f"  t0={t0:.1f}: |d1| = {leak:.2e}")

@@ -13,8 +13,8 @@ from udiscrim import (
     NStatePlan,
     ScenarioParams,
     analytic_nstate_success,
+    detector_amplitudes,
     intensity,
-    nstate_amplitudes,
     nstate_report,
     nstate_success_from_distances,
     ring_programs,
@@ -26,7 +26,7 @@ programs = ring_programs(4, intensity=1.33)
 plan = NStatePlan(4)
 print("port intensities with the unknown equal to each of 4 ring states:")
 for k in range(4):
-    ports = nstate_amplitudes(programs[k], programs, plan)
+    ports = detector_amplitudes(programs[k], programs, plan)
     pretty = ", ".join(f"{x:.3f}" for x in map(intensity, ports))
     print(f"  unknown = state {k + 1}: [{pretty}]")
 

@@ -50,7 +50,6 @@ from .network import (
     TrialOutcome,
     classify,
     detector_amplitudes,
-    nstate_amplitudes,
     outcome_from_clicks,
 )
 from .optics import apply_phase, bs_transform, from_intensity_phase, intensity
@@ -108,7 +107,6 @@ __all__ = [
     "fringe_visibility_equivalent",
     "from_intensity_phase",
     "intensity",
-    "nstate_amplitudes",
     "nstate_report",
     "nstate_success_from_distances",
     "outcome_from_clicks",

@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
 from typing import NamedTuple
 
 from .montecarlo import InvariantViolation
+from .optics import as_real
 from .output import emit
 from .sweeps import ScenarioParams, SweepSpec, Table
 from .sweeps import nstate_report, sweep_intensity, sweep_phase, sweep_ratio  # run by name
@@ -85,17 +87,19 @@ _FALSE_WORDS = ("0", "false", "no", "off")
 
 def _amplitude(text: str) -> tuple[float, float | None]:
     """Parse ``n:deg`` into (mean photons per pulse, phase in degrees); the
-    phase is None when ``:deg`` is left out and then means 0."""
+    phase is None when ``:deg`` is left out and then means 0.  Both parts
+    are checked by the library's rule, under argparse's flag name."""
     try:
         n_text, _, deg_text = str(text).partition(":")
         n = float(n_text)
         deg = float(deg_text) if deg_text else None
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected N:DEG, got {text!r}") from exc
-    if not (math.isfinite(n) and math.isfinite(deg or 0.0)):
-        raise argparse.ArgumentTypeError(f"expected finite N:DEG, got {text!r}")
-    if n < 0.0:
-        raise argparse.ArgumentTypeError(f"mean photon number must be >= 0, got {n}")
+    try:
+        n = as_real("mean photon number", n, 0)
+        deg = None if deg is None else as_real("phase", deg, -math.inf)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return n, deg
 
 
@@ -262,14 +266,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             _apply_config(commands, _read_config(args.config), args.command)
             args = parser.parse_args(argv)
-        ignored = _ignored_parts(args)
-        if ignored:
-            print(f"udiscrim: warning: {args.command} ignores {' and '.join(ignored)}",
-                  file=sys.stderr)
         with warnings.catch_warnings():
-            # First among the filters, so that not even -W error raises our own.
-            warnings.filterwarnings("always", category=UserWarning, module=r"udiscrim\.")
+            # First among the filters, so that not even -W error raises our own;
+            # this module is __main__ under ``python -m udiscrim.cli``.
+            warnings.filterwarnings("always", category=UserWarning,
+                                    module=rf"udiscrim\.|{re.escape(__name__)}$")
             warnings.showwarning = _warning_printer(warnings.showwarning)
+            ignored = _ignored_parts(args)
+            if ignored:
+                warnings.warn(f"{args.command} ignores {' and '.join(ignored)}")
             for table, path in _build_tables(args):
                 emit(table, path, args.format, x_label=_COMMANDS[args.command].x_label)
                 print(path)

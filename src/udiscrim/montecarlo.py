@@ -43,10 +43,10 @@ with its fresh state for the run, so memory does not grow with the
 block size.  Philox is counter based: restoring that state and calling
 ``advance``, as ``run_trial`` does, gives a fresh generator's stream.
 
-``click_matrix`` is evaluated once per block through the network's
-per-port path (``port_contributions`` or ``nstate_port_contributions``);
-the plans keep their splitters and the splitters their coefficients, so
-that path builds no splitter per call.
+``click_matrix`` is evaluated once per block through the network's one
+per-port call, ``port_contributions``, which serves every plan; the plans
+keep their splitters and the splitters their coefficients, so that call
+builds no splitter.
 """
 
 from __future__ import annotations
@@ -64,14 +64,10 @@ import numpy as np
 
 from .detection import DetectorModel, InterferenceModel, click_probability, port_mean_photons
 from .drift import DriftModel, ProbeModel, StabilizerConfig, evolve, stabilize
-from .network import (
-    Plan,
-    SplitterPlan,
-    TrialOutcome,
-    nstate_port_contributions,
-    outcome_from_clicks,
-    port_contributions,
-)
+from .network import Plan, TrialOutcome, outcome_from_clicks, port_contributions
+# Never called here: bench/tracer.py wraps montecarlo's nstate_port_contributions
+# by name, with getattr, so the name must stay until that tracer changes.
+from .network import nstate_port_contributions
 from .optics import ComplexAmplitude, as_integer, as_real, as_reals, intensity
 
 _CHUNK = 1 << 16
@@ -233,13 +229,9 @@ def click_matrix(cfg: ExperimentConfig, phases=None) -> np.ndarray:
     ports = tuple(zip(cfg.interference, cfg.detectors))
     rows = []
     for alpha in programs:
-        if isinstance(plan, SplitterPlan):
-            pairs = port_contributions(alpha, programs[0], programs[1], plan, phases)
-        else:
-            pairs = nstate_port_contributions(alpha, programs, plan, phases)
         rows.append([
             click_probability(port_mean_photons(u + p, intensity(u) + intensity(p), vis), det)
-            for (u, p), (vis, det) in zip(pairs, ports)
+            for (u, p), (vis, det) in zip(port_contributions(alpha, programs, plan, phases), ports)
         ])
     return np.array(rows)
 

@@ -126,18 +126,23 @@ Plan = SplitterPlan | NStatePlan
 
 def port_contributions(
     alpha_unknown: ComplexAmplitude,
-    alpha_1: ComplexAmplitude,
-    alpha_2: ComplexAmplitude,
-    plan: SplitterPlan,
-    phase_errors: tuple[float, float] | None = None,
+    programs: list[ComplexAmplitude] | tuple[ComplexAmplitude, ...],
+    plan: Plan,
+    phase_errors: tuple[float, ...] | None = None,
 ) -> list[tuple[ComplexAmplitude, ComplexAmplitude]]:
-    """Propagate the three inputs through the two-state network.
+    """Propagate the unknown and the program states through the network.
 
     Returns per detector port a pair (unknown part, program part); the
     port amplitude is their sum, and the pair is what an incoherent-sum
-    visibility model needs.  ``phase_errors`` are extra phases picked up
-    on the unknown's arm of each loop (drift); ``None`` means none.
+    visibility model needs.  ``programs`` holds one state per port, as
+    many as the plan serves; ``phase_errors`` are extra phases picked up
+    on the unknown's arm of each loop (drift), and ``None`` means none.
     """
+    if isinstance(plan, NStatePlan):
+        return nstate_port_contributions(alpha_unknown, programs, plan, phase_errors)
+    if len(programs) != 2:
+        raise ValueError(f"expected 2 program states, got {len(programs)}")
+    alpha_1, alpha_2 = programs
     if phase_errors is None:
         phase_errors = (0.0, 0.0)
     phi_1, phi_2 = as_reals("phase_errors", phase_errors, 2, -math.inf)
@@ -156,21 +161,22 @@ def port_contributions(
 
 def detector_amplitudes(
     alpha_unknown: ComplexAmplitude,
-    alpha_1: ComplexAmplitude,
-    alpha_2: ComplexAmplitude,
-    plan: SplitterPlan,
-    phase_errors: tuple[float, float] | None = None,
+    programs: list[ComplexAmplitude] | tuple[ComplexAmplitude, ...],
+    plan: Plan,
+    phase_errors: tuple[float, ...] | None = None,
 ) -> tuple[ComplexAmplitude, ...]:
-    """Amplitudes at the two detector ports.
+    """Amplitudes at the detector ports.
 
-    Up to a global phase per port these equal
+    Up to a global phase per port these equal, for two program states,
 
         d1 = sqrt(t0 / (1 + t0)) * (alpha_1 - alpha_?)
         d2 = sqrt((1 - t0) / (2 - t0)) * (alpha_2 - alpha_?)
 
-    so port j is dark exactly when the unknown equals program j.
+    and for n states |d_j|^2 = |alpha_j - alpha_?|^2 / (n + 1), so port j
+    is dark exactly when the unknown equals program j.  For n = 2 the
+    intensities coincide with the two-state plan at t0 = 1/2.
     """
-    parts = port_contributions(alpha_unknown, alpha_1, alpha_2, plan, phase_errors)
+    parts = port_contributions(alpha_unknown, programs, plan, phase_errors)
     return tuple(u + p for u, p in parts)
 
 
@@ -210,22 +216,6 @@ def nstate_port_contributions(
         (bs_transform(apply_phase(arm, phi), 0j, stage)[0], bs_transform(0j, program, stage)[0])
         for arm, phi, program in zip(_equal_split_arms(alpha_unknown, plan.taps), phases, programs)
     ]
-
-
-def nstate_amplitudes(
-    alpha_unknown: ComplexAmplitude,
-    programs: list[ComplexAmplitude] | tuple[ComplexAmplitude, ...],
-    plan: NStatePlan,
-    phase_errors: tuple[float, ...] | None = None,
-) -> tuple[ComplexAmplitude, ...]:
-    """Detector-port amplitudes of the n-state network.
-
-    |d_j|^2 = |alpha_j - alpha_?|^2 / (n + 1); port j is dark exactly when
-    the unknown equals program j.  For n = 2 the intensities coincide with
-    the two-state plan at t0 = 1/2.
-    """
-    parts = nstate_port_contributions(alpha_unknown, programs, plan, phase_errors)
-    return tuple(u + p for u, p in parts)
 
 
 class OutcomeKind(Enum):

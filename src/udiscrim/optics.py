@@ -21,9 +21,10 @@ ComplexAmplitude = complex
 
 def as_integer(name: str, value, lo: int, hi: int | None = None) -> int:
     """``value`` as a Python int, if it is a Python or numpy integer in
-    [lo, hi]; otherwise a ``ValueError`` naming ``name``.  Python ints,
-    since ``Philox.advance`` rejects numpy integers."""
-    if isinstance(value, numbers.Integral) and lo <= value and (hi is None or value <= hi):
+    [lo, hi]; otherwise a ``ValueError`` naming ``name``.  A bool is not a
+    count.  Python ints, since ``Philox.advance`` rejects numpy integers."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
         return int(value)
     cap = "" if hi is None else f" and at most {hi}"
     raise ValueError(f"{name} must be an integer >= {lo}{cap}, got {value}")
@@ -32,10 +33,12 @@ def as_integer(name: str, value, lo: int, hi: int | None = None) -> int:
 def as_real(name: str, value, lo: float, hi: float = math.inf, *, open_lo: bool = False) -> float:
     """``value`` as a Python float, if it is a finite real in [lo, hi], or in
     (lo, hi] with ``open_lo``; otherwise a ``ValueError`` naming ``name``.
-    Python floats, since numpy scalars are slow in the per-port loops.  A
-    rejected numpy scalar is shown by its Python value."""
+    A bool is not a number here.  Python floats, since numpy scalars are
+    slow in the per-port loops.  A rejected numpy scalar is shown by its
+    Python value."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
+        x = float(value) if real else math.nan
     except OverflowError:  # an int past the float range
         x = math.nan
     if math.isfinite(x) and (lo < x if open_lo else lo <= x) and x <= hi:

@@ -67,8 +67,8 @@ def test_null_port_unambiguity():
         a1 = complex(rng.normal(), rng.normal())
         a2 = complex(rng.normal(), rng.normal())
         plan = SplitterPlan(t0)
-        worst = max(worst, abs(detector_amplitudes(a1, a1, a2, plan)[0]))
-        worst = max(worst, abs(detector_amplitudes(a2, a1, a2, plan)[1]))
+        worst = max(worst, abs(detector_amplitudes(a1, (a1, a2), plan)[0]))
+        worst = max(worst, abs(detector_amplitudes(a2, (a1, a2), plan)[1]))
     assert worst < 1e-12
 
     cfg = ExperimentConfig(

@@ -345,8 +345,8 @@ class TestFailureModes:
         # The joined form gets past argparse, which takes "-1:0" for a flag.
         out = tmp_path / "x.csv"
         assert run(["nstate", "--alpha1=-1:0", "--out", out, *NSTATE_FAST]) == 2
-        assert ("argument --alpha1: mean photon number must be >= 0, got -1.0"
-                in capsys.readouterr().err)
+        assert ("argument --alpha1: mean photon number must be a finite number in [0, inf], "
+                "got -1.0" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_negative_seed_is_named(self, tmp_path, capsys):
@@ -424,14 +424,24 @@ class TestFailureModes:
         assert run(["sweep-intensity", "--points", "2", "--drift-sigma", sigma, *FAST]) == 2
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--alpha1", "inf:0"), ("--alpha1", "1:nan"), ("--alpha1", "1:inf"),
-         ("--alpha1", "1:-inf"), ("--alpha2", "nan:180")],
+        "flag, value, message",
+        [
+            pytest.param("--alpha1", "inf:0", "mean photon number must be a finite number in "
+                         "[0, inf], got inf", id="--alpha1-inf:0"),
+            pytest.param("--alpha1", "1:nan", "phase must be a finite number, got nan",
+                         id="--alpha1-1:nan"),
+            pytest.param("--alpha1", "1:inf", "phase must be a finite number, got inf",
+                         id="--alpha1-1:inf"),
+            pytest.param("--alpha1", "1:-inf", "phase must be a finite number, got -inf",
+                         id="--alpha1-1:-inf"),
+            pytest.param("--alpha2", "nan:180", "mean photon number must be a finite number in "
+                         "[0, inf], got nan", id="--alpha2-nan:180"),
+        ],
     )
-    def test_non_finite_alpha_names_the_flag(self, tmp_path, capsys, flag, value):
+    def test_non_finite_alpha_names_the_flag(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "x.csv"
         assert run(["sweep-phase", "--points", "2", flag, value, "--out", out, *FAST]) == 2
-        assert f"argument {flag}: expected finite N:DEG, got {value!r}" in capsys.readouterr().err
+        assert f"argument {flag}: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_alpha_in_config_names_the_flag(self, tmp_path, capsys):
@@ -439,7 +449,8 @@ class TestFailureModes:
         cfg.write_text("alpha1=1:inf\n")
         out = tmp_path / "x.csv"
         assert run(["--config", cfg, "nstate", "--n", "2", "--out", out, *NSTATE_FAST]) == 2
-        assert "argument --alpha1: expected finite N:DEG" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --alpha1: phase must be a finite number, got inf" in err
         assert not out.exists()
 
     # The second value is overridden by NSTATE_FAST's --trials.
@@ -533,3 +544,18 @@ def test_python_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("k,")
+
+
+def test_python_m_cli_prints_its_notice_under_an_error_filter(tmp_path):
+    # Run as a script, cli's own notice comes from __main__, not udiscrim.cli.
+    out = tmp_path / "x.csv"
+    src = Path(udiscrim.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-m", "udiscrim.cli", "sweep-phase",
+         "--alpha2", "0.7:100", "--points", "2", "--trials", "10", "--blocks", "1",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "udiscrim: warning: sweep-phase ignores the phase of --alpha2\n"

@@ -10,7 +10,6 @@ from udiscrim.network import (
     SplitterPlan,
     classify,
     detector_amplitudes,
-    nstate_amplitudes,
     outcome_from_clicks,
     port_contributions,
 )
@@ -67,18 +66,18 @@ class TestSplitterPlan:
 
 class TestDetectorAmplitudes:
     def test_both_nulls_when_everything_equal(self):
-        d = detector_amplitudes(0.7 + 0.2j, 0.7 + 0.2j, 0.7 + 0.2j, SplitterPlan(0.4))
+        d = detector_amplitudes(0.7 + 0.2j, (0.7 + 0.2j, 0.7 + 0.2j), SplitterPlan(0.4))
         assert abs(d[0]) < 1e-12
         assert abs(d[1]) < 1e-12
 
     def test_known_intensities_at_balanced_plan(self):
         plan = SplitterPlan(0.5)
         # Unknown equals state 1: port 1 dark, port 2 carries |a2-a1|^2/3 = 4/3.
-        d = detector_amplitudes(1 + 0j, 1 + 0j, -1 + 0j, plan)
+        d = detector_amplitudes(1 + 0j, (1 + 0j, -1 + 0j), plan)
         assert intensity(d[0]) == pytest.approx(0.0, abs=1e-24)
         assert intensity(d[1]) == pytest.approx(4 / 3, rel=1e-12)
         # Unknown equals state 2: mirrored.
-        d = detector_amplitudes(-1 + 0j, 1 + 0j, -1 + 0j, plan)
+        d = detector_amplitudes(-1 + 0j, (1 + 0j, -1 + 0j), plan)
         assert intensity(d[0]) == pytest.approx(4 / 3, rel=1e-12)
         assert intensity(d[1]) == pytest.approx(0.0, abs=1e-24)
 
@@ -88,9 +87,9 @@ class TestDetectorAmplitudes:
             t0 = rng.uniform(1e-3, 1 - 1e-3)
             a1, a2 = random_state(rng), random_state(rng)
             plan = SplitterPlan(float(t0))
-            d = detector_amplitudes(a1, a1, a2, plan)
+            d = detector_amplitudes(a1, (a1, a2), plan)
             assert abs(d[0]) < 1e-12
-            d = detector_amplitudes(a2, a1, a2, plan)
+            d = detector_amplitudes(a2, (a1, a2), plan)
             assert abs(d[1]) < 1e-12
 
     def test_closed_form_agreement_randomized(self):
@@ -99,7 +98,7 @@ class TestDetectorAmplitudes:
             t0 = rng.uniform(1e-3, 1 - 1e-3)
             unknown, a1, a2 = (random_state(rng) for _ in range(3))
             plan = SplitterPlan(float(t0))
-            d = detector_amplitudes(unknown, a1, a2, plan)
+            d = detector_amplitudes(unknown, (a1, a2), plan)
             want1 = t0 / (1.0 + t0) * intensity(a1 - unknown)
             want2 = (1.0 - t0) / (2.0 - t0) * intensity(a2 - unknown)
             assert intensity(d[0]) == pytest.approx(want1, rel=1e-12, abs=1e-15)
@@ -109,22 +108,22 @@ class TestDetectorAmplitudes:
         rng = np.random.default_rng(34)
         plan = SplitterPlan(0.37)
         unknown, a1, a2 = (random_state(rng) for _ in range(3))
-        base = tuple(map(intensity, detector_amplitudes(unknown, a1, a2, plan)))
+        base = tuple(map(intensity, detector_amplitudes(unknown, (a1, a2), plan)))
         for theta in (0.3, 1.7, -2.2):
             rot = complex(math.cos(theta), math.sin(theta))
-            ports = detector_amplitudes(unknown * rot, a1 * rot, a2 * rot, plan)
+            ports = detector_amplitudes(unknown * rot, (a1 * rot, a2 * rot), plan)
             rotated = tuple(map(intensity, ports))
             assert rotated == pytest.approx(base, rel=1e-12)
 
     def test_phase_error_opens_null_port(self):
         plan = SplitterPlan(0.5)
-        d = detector_amplitudes(1 + 0j, 1 + 0j, -1 + 0j, plan, phase_errors=(0.1, 0.0))
+        d = detector_amplitudes(1 + 0j, (1 + 0j, -1 + 0j), plan, phase_errors=(0.1, 0.0))
         leak = intensity(d[0])
         want = (1 / 3) * (2 - 2 * math.cos(0.1))
         assert leak == pytest.approx(want, rel=1e-12)
         # None is the one spelling of "no phase error" in both two-state
         # functions, as in the n-state ones.
-        inputs = (0.3 - 0.4j, 1 + 0j, -1 + 0j, SplitterPlan(0.3))
+        inputs = (0.3 - 0.4j, (1 + 0j, -1 + 0j), SplitterPlan(0.3))
         for ports in (port_contributions, detector_amplitudes):
             assert ports(*inputs, None) == ports(*inputs, (0.0, 0.0)) == ports(*inputs)
 
@@ -134,8 +133,8 @@ class TestNStateAmplitudes:
         rng = np.random.default_rng(35)
         for _ in range(200):
             unknown, a1, a2 = (random_state(rng) for _ in range(3))
-            two = tuple(map(intensity, detector_amplitudes(unknown, a1, a2, SplitterPlan(0.5))))
-            gen = tuple(map(intensity, nstate_amplitudes(unknown, (a1, a2), NStatePlan(2))))
+            two = tuple(map(intensity, detector_amplitudes(unknown, (a1, a2), SplitterPlan(0.5))))
+            gen = tuple(map(intensity, detector_amplitudes(unknown, (a1, a2), NStatePlan(2))))
             assert gen == pytest.approx(two, rel=1e-12, abs=1e-15)
 
     def test_closed_form_all_n(self):
@@ -144,7 +143,7 @@ class TestNStateAmplitudes:
             plan = NStatePlan(n)
             programs = tuple(random_state(rng) for _ in range(n))
             unknown = random_state(rng)
-            d = nstate_amplitudes(unknown, programs, plan)
+            d = detector_amplitudes(unknown, programs, plan)
             for j in range(n):
                 want = intensity(programs[j] - unknown) / (n + 1)
                 assert intensity(d[j]) == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -155,17 +154,17 @@ class TestNStateAmplitudes:
             plan = NStatePlan(n)
             programs = tuple(random_state(rng) for _ in range(n))
             for k in range(n):
-                d = nstate_amplitudes(programs[k], programs, plan)
+                d = detector_amplitudes(programs[k], programs, plan)
                 assert abs(d[k]) < 1e-12
 
     def test_all_ports_dark_for_identical_programs(self):
         alpha = 0.4 - 0.9j
-        d = nstate_amplitudes(alpha, (alpha,) * 3, NStatePlan(3))
+        d = detector_amplitudes(alpha, (alpha,) * 3, NStatePlan(3))
         assert all(abs(x) < 1e-12 for x in d)
 
     def test_wrong_program_count_rejected(self):
         with pytest.raises(ValueError):
-            nstate_amplitudes(1 + 0j, (1 + 0j,) * 3, NStatePlan(2))
+            detector_amplitudes(1 + 0j, (1 + 0j,) * 3, NStatePlan(2))
         with pytest.raises(ValueError):
             NStatePlan(1)
 

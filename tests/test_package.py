@@ -1,7 +1,9 @@
 """The package's export list: ``__init__`` names each export twice, in its
 imports and in ``__all__``, and the two must agree.  And the integer rule
 for counts, seeds and state numbers has one owner, ``optics.as_integer``,
-as the rule for vectors of reals has ``optics.as_reals``."""
+as the rule for vectors of reals has ``optics.as_reals``.  The engine takes
+no branch on the plan type: ``network`` owns the plans and serves both
+through one per-port call."""
 
 import re
 import types
@@ -40,3 +42,10 @@ def test_vector_rule_has_one_owner():
     entry = re.compile(r"""as_real\(\s*f["'][^"']*\[\{\w+\}\]["']""")
     users = sorted(p.name for p in sources if entry.search(p.read_text()))
     assert users == ["optics.py"]
+
+
+def test_engine_has_no_plan_branch():
+    # network.port_contributions serves every plan; a plan type named in the
+    # engine is a second dispatch beside it.
+    source = (Path(udiscrim.__file__).parent / "montecarlo.py").read_text()
+    assert re.findall(r"\b(?:SplitterPlan|NStatePlan)\b", source) == []

@@ -20,7 +20,7 @@ from udiscrim import cli, montecarlo
 from udiscrim.detection import DetectorModel, InterferenceModel
 from udiscrim.drift import DriftModel, StabilizerConfig
 from udiscrim.montecarlo import ExperimentConfig, run_experiment
-from udiscrim.network import NStatePlan, SplitterPlan, detector_amplitudes, nstate_amplitudes
+from udiscrim.network import NStatePlan, SplitterPlan, detector_amplitudes
 from udiscrim.sweeps import ring_programs
 
 pytest.importorskip("hypothesis")
@@ -121,7 +121,7 @@ def test_two_state_null_port_is_dark(t0, programs):
     plan = SplitterPlan(t0)
     bound = 1e-12 * max(abs(a) for a in programs)
     for k, alpha in enumerate(programs):
-        assert abs(detector_amplitudes(alpha, *programs, plan)[k]) <= bound
+        assert abs(detector_amplitudes(alpha, programs, plan)[k]) <= bound
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -130,7 +130,7 @@ def test_n_state_null_port_is_dark(programs):
     plan = NStatePlan(len(programs))
     bound = 1e-12 * max(abs(a) for a in programs)
     for k, alpha in enumerate(programs):
-        assert abs(nstate_amplitudes(alpha, programs, plan)[k]) <= bound
+        assert abs(detector_amplitudes(alpha, programs, plan)[k]) <= bound
 
 
 # A value each numeric flag takes in an ordinary run.

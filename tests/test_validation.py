@@ -44,7 +44,6 @@ from udiscrim.network import (
     NStatePlan,
     SplitterPlan,
     detector_amplitudes,
-    nstate_amplitudes,
     nstate_port_contributions,
     outcome_from_clicks,
     port_contributions,
@@ -118,12 +117,16 @@ def test_non_finite_input_is_rejected(build):
                      "expected 2 phase errors, got 3", id="click-matrix-three-phases"),
         pytest.param(lambda: run_trial(_config(None), 0, [0.1]),
                      "expected 2 phase errors, got 1", id="run-trial-one-phase"),
-        pytest.param(lambda: detector_amplitudes(1.0 + 0j, 1.0 + 0j, -1.0 + 0j, SplitterPlan(0.5),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, (1.0 + 0j, -1.0 + 0j), SplitterPlan(0.5),
                                                  (0.1, 0.2, 0.3)),
                      "expected 2 phase errors, got 3", id="amplitudes-three-phases"),
-        pytest.param(lambda: port_contributions(1.0 + 0j, 1.0 + 0j, -1.0 + 0j, SplitterPlan(0.5),
+        pytest.param(lambda: port_contributions(1.0 + 0j, (1.0 + 0j, -1.0 + 0j), SplitterPlan(0.5),
                                                 ()),
                      "expected 2 phase errors, got 0", id="contributions-no-phase"),
+        # One call serves both plans; a two-state plan takes two programs.
+        pytest.param(lambda: port_contributions(1.0 + 0j, (1.0 + 0j, -1.0 + 0j, 0j),
+                                                SplitterPlan(0.5)),
+                     "expected 2 program states, got 3", id="contributions-three-programs"),
         # A non-finite phase is named where it enters, not left to surface as
         # a NaN mean photon number in the click law.
         pytest.param(lambda: click_matrix(_config(None), [0.1, math.nan]),
@@ -134,21 +137,23 @@ def test_non_finite_input_is_rejected(build):
                      r"phase_errors\[0\] must be a finite number, got nan", id="run-trial-nan"),
         pytest.param(lambda: run_trial(_config(None), 0, [0.0, -math.inf]),
                      r"phase_errors\[1\] must be a finite number, got -inf", id="run-trial-inf"),
-        pytest.param(lambda: detector_amplitudes(1.0 + 0j, 1.0 + 0j, -1.0 + 0j, SplitterPlan(0.5),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, (1.0 + 0j, -1.0 + 0j), SplitterPlan(0.5),
                                                  (0.1, math.nan)),
                      r"phase_errors\[1\] must be a finite number", id="amplitudes-nan"),
-        pytest.param(lambda: detector_amplitudes(1.0 + 0j, 1.0 + 0j, -1.0 + 0j, SplitterPlan(0.5),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, (1.0 + 0j, -1.0 + 0j), SplitterPlan(0.5),
                                                  (math.inf, 0.1)),
                      r"phase_errors\[0\] must be a finite number", id="amplitudes-inf"),
-        pytest.param(lambda: nstate_amplitudes(1.0 + 0j, RING, NStatePlan(3), (0.0, 0.0, math.nan)),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, RING, NStatePlan(3),
+                                                 (0.0, 0.0, math.nan)),
                      r"phase_errors\[2\] must be a finite number", id="nstate-amplitudes-nan"),
-        pytest.param(lambda: nstate_amplitudes(1.0 + 0j, RING, NStatePlan(3), (0.0, math.inf, 0.0)),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, RING, NStatePlan(3),
+                                                 (0.0, math.inf, 0.0)),
                      r"phase_errors\[1\] must be a finite number", id="nstate-amplitudes-inf"),
         # A rejected numpy scalar is shown by its Python value, not its repr.
         pytest.param(lambda: DetectorModel(np.float64(math.nan)),
                      r"eta must be a finite number in \[0, 1\], got nan$", id="eta-numpy-nan"),
-        pytest.param(lambda: nstate_amplitudes(1.0 + 0j, RING, NStatePlan(3),
-                                               np.array([math.nan, 0.0, 0.0])),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, RING, NStatePlan(3),
+                                                 np.array([math.nan, 0.0, 0.0])),
                      r"phase_errors\[0\] must be a finite number, got nan$",
                      id="nstate-amplitudes-numpy-nan"),
         pytest.param(lambda: nstate_port_contributions(1.0 + 0j, RING, NStatePlan(3),
@@ -412,6 +417,17 @@ def test_non_finite_input_is_rejected(build):
                      id="params-stabilize-int"),
         pytest.param(lambda: nstate_report("3", ScenarioParams(trials=10, blocks=1)),
                      "n must be an integer >= 2 and at most 64, got 3$", id="nstate-n-string"),
+        # A bool is neither a count nor a real, though Python counts it as both.
+        pytest.param(lambda: ScenarioParams(trials=True),
+                     f"trials must be an integer >= 1 and at most {MAX_TRIALS_PER_BLOCK}, "
+                     "got True$", id="params-trials-bool"),
+        pytest.param(lambda: DetectorModel(True),
+                     r"eta must be a finite number in \[0, 1\], got True$", id="eta-bool"),
+        pytest.param(lambda: run_experiment(_config(None), workers=True),
+                     "workers must be an integer >= 1, got True$", id="workers-bool"),
+        pytest.param(lambda: click_matrix(_config(None), [True, 0.0]),
+                     r"phase_errors\[0\] must be a finite number, got True$",
+                     id="click-matrix-bool-phase"),
     ],
 )
 def test_inconsistent_input_is_rejected(build, message):
