@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -92,6 +93,9 @@ MAX_TRIALS_PER_BLOCK = 10**10
 # Mean photons per program state.  Rounding lets a null port click with
 # probability ~1e-19 at 1e12 photons but ~1e-11 at 1e20, and the exclusion
 # law needs it far below one trial in MAX_BLOCKS * MAX_TRIALS_PER_BLOCK.
+# The check allows 4 machine epsilons (relative) more: re^2 + im^2 of
+# cmath.rect(sqrt(N), phi) reads up to 2 epsilons above N, so an amplitude
+# built at exactly the cap would otherwise fail for about a quarter of phases.
 MAX_INTENSITY = 1e12
 
 
@@ -182,7 +186,8 @@ class ExperimentConfig:
         if n < 2:
             raise ValueError("need at least two program states")
         for j, alpha in enumerate(self.programs):
-            as_real(f"programs[{j}] intensity", intensity(alpha), 0, MAX_INTENSITY)
+            as_real(f"programs[{j}] intensity", intensity(alpha), 0,
+                    MAX_INTENSITY * (1 + 4 * sys.float_info.epsilon))
         if len(self.plan.couplings) != n:
             raise ValueError(f"plan serves {len(self.plan.couplings)} states, got {n} programs")
         object.__setattr__(self, "detectors", _broadcast(self.detectors, n, "detectors"))

@@ -8,8 +8,10 @@ references.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
+from .optics import as_reals
 from .sweeps import Table
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
@@ -41,8 +43,17 @@ def write_csv(table: Table, path: str | Path) -> Path:
     return path
 
 
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _line(x1, y1, x2, y2, stroke: str, width: int) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x, y, size: int, body: str, anchor: str = "") -> str:
+    """A sans-serif label; ``body`` is escaped here, so no caller can forget to."""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-size="{size}" '
+            f'font-family="sans-serif">{body}</text>')
 
 
 def svg_bytes(table: Table, title: str | None = None, x_label: str = "x") -> bytes:
@@ -51,13 +62,22 @@ def svg_bytes(table: Table, title: str | None = None, x_label: str = "x") -> byt
     Columns named ``analytic*`` become polylines; measured ``p_*`` columns
     become markers with error bars when a matching ``se_`` column exists.
     The y axis is fixed to [0, 1] since every plotted quantity is a
-    fraction.
+    fraction.  A non-finite cell in a drawn column is a ``ValueError``
+    naming it, such as ``p_plus[0]``.
     """
     if not table.rows:
         raise ValueError("cannot chart an empty table")
     title = title if title is not None else table.name
-    cols = {name: i for i, name in enumerate(table.columns)}
-    xs = [row[0] for row in table.rows]
+    # Analytic lines first, then measured markers, each with a legend entry.
+    series = [c for c in table.columns[1:] if c.startswith("analytic")] + [
+        c for c in table.columns[1:] if c.startswith("p_") and not c.startswith("p_inconclusive")
+    ]
+    drawn = {table.columns[0], *series, *(f"se_{c}" for c in series if c.startswith("p_"))}
+    values = {
+        name: as_reals(name, [row[i] for row in table.rows], None, -math.inf)
+        for i, name in enumerate(table.columns) if name in drawn
+    }
+    xs = values[table.columns[0]]
     x_min, x_max = min(xs), max(xs)
     span = x_max - x_min if x_max > x_min else 1.0
 
@@ -71,89 +91,50 @@ def svg_bytes(table: Table, title: str | None = None, x_label: str = "x") -> byt
         y = min(max(y, 0.0), 1.0)
         return _MARGIN_TOP + (1.0 - y) * plot_h
 
-    # Analytic lines first, then measured markers, each with a legend entry.
-    series = [c for c in table.columns[1:] if c.startswith("analytic")] + [
-        c for c in table.columns[1:] if c.startswith("p_") and not c.startswith("p_inconclusive")
-    ]
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="28" text-anchor="middle" font-size="18" '
-        f'font-family="sans-serif">{_escape(title)}</text>',
+        _text(f"{_WIDTH / 2:.1f}", 28, 18, title, "middle"),
     ]
 
     for i in range(6):
         y = i / 5.0
-        parts.append(
-            f'<line x1="{_MARGIN_LEFT}" y1="{py(y):.2f}" x2="{_MARGIN_LEFT + plot_w}" '
-            f'y2="{py(y):.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 8}" y="{py(y) + 4:.2f}" text-anchor="end" '
-            f'font-size="12" font-family="sans-serif">{y:.1f}</text>'
-        )
+        parts.append(_line(_MARGIN_LEFT, f"{py(y):.2f}", _MARGIN_LEFT + plot_w, f"{py(y):.2f}",
+                           "#dddddd", 1))
+        parts.append(_text(_MARGIN_LEFT - 8, f"{py(y) + 4:.2f}", 12, f"{y:.1f}", "end"))
+    bottom = _MARGIN_TOP + plot_h
     for i in range(6):
         x = x_min + span * i / 5.0
-        parts.append(
-            f'<line x1="{px(x):.2f}" y1="{_MARGIN_TOP + plot_h}" x2="{px(x):.2f}" '
-            f'y2="{_MARGIN_TOP + plot_h + 5}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px(x):.2f}" y="{_MARGIN_TOP + plot_h + 20}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{x:.3g}</text>'
-        )
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP + plot_h}" '
-        f'x2="{_MARGIN_LEFT + plot_w}" y2="{_MARGIN_TOP + plot_h}" '
-        'stroke="#000000" stroke-width="2"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" '
-        f'y2="{_MARGIN_TOP + plot_h}" stroke="#000000" stroke-width="2"/>'
-    )
-    parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 18}" text-anchor="middle" '
-        f'font-size="14" font-family="sans-serif">{_escape(x_label)}</text>'
-    )
+        parts.append(_line(f"{px(x):.2f}", bottom, f"{px(x):.2f}", bottom + 5, "#000000", 1))
+        parts.append(_text(f"{px(x):.2f}", bottom + 20, 12, f"{x:.3g}", "middle"))
+    parts.append(_line(_MARGIN_LEFT, bottom, _MARGIN_LEFT + plot_w, bottom, "#000000", 2))
+    parts.append(_line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, bottom, "#000000", 2))
+    parts.append(_text(f"{_MARGIN_LEFT + plot_w / 2:.1f}", _HEIGHT - 18, 14, x_label, "middle"))
 
     legend_x = _MARGIN_LEFT + plot_w + 18
     for i, name in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         legend_y = _MARGIN_TOP + 10 + 20 * i
+        ys = values[name]
         if name.startswith("analytic"):
-            pts = " ".join(
-                f"{px(row[0]):.2f},{py(row[cols[name]]):.2f}" for row in table.rows
-            )
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>'
             )
-            parts.append(
-                f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 22}" y2="{legend_y}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
+            parts.append(_line(legend_x, legend_y, legend_x + 22, legend_y, color, 2))
         else:
-            se_name = f"se_{name}"
-            for row in table.rows:
-                x = px(row[0])
-                y = py(row[cols[name]])
-                if se_name in cols:
-                    se = row[cols[se_name]]
-                    y_lo = py(row[cols[name]] - se)
-                    y_hi = py(row[cols[name]] + se)
-                    parts.append(
-                        f'<line x1="{x:.2f}" y1="{y_hi:.2f}" x2="{x:.2f}" y2="{y_lo:.2f}" '
-                        f'stroke="{color}" stroke-width="1"/>'
-                    )
-                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>')
+            ses = values.get(f"se_{name}")
+            for k, (x, y) in enumerate(zip(xs, ys)):
+                cx = f"{px(x):.2f}"
+                if ses is not None:
+                    parts.append(_line(cx, f"{py(y + ses[k]):.2f}", cx, f"{py(y - ses[k]):.2f}",
+                                       color, 1))
+                parts.append(f'<circle cx="{cx}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
             parts.append(
                 f'<circle cx="{legend_x + 11}" cy="{legend_y}" r="3" fill="{color}"/>'
             )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{legend_y + 4}" font-size="12" '
-            f'font-family="sans-serif">{_escape(name)}</text>'
-        )
+        parts.append(_text(legend_x + 28, legend_y + 4, 12, name))
 
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("ascii")

@@ -503,6 +503,14 @@ class TestFailureModes:
         assert f"udiscrim: error: programs[{program}] intensity must be" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_intensity_at_the_cap_runs(self, tmp_path, capsys):
+        # At 2 degrees, re^2 + im^2 of the built amplitude reads one ulp past
+        # 1e12; the cap check must not count that as past it.
+        out = tmp_path / "x.csv"
+        assert run(["nstate", "--n", "2", "--alpha1", "1e12:2", "--out", out, *NSTATE_FAST]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_span_past_the_float_range_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

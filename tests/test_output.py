@@ -64,6 +64,12 @@ class TestSvg:
         root = ET.fromstring(svg_bytes(table, title="three states"))
         assert root is not None
 
+    def test_labels_are_escaped(self):
+        table = Table("a<b & c>", ("x", "p_x&y"), ((0.0, 0.5), (1.0, 0.25)))
+        root = ET.fromstring(svg_bytes(table, x_label="x > 0"))
+        texts = {node.text for node in root.iter() if node.tag.endswith("text")}
+        assert {"a<b & c>", "p_x&y", "x > 0"} <= texts
+
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             svg_bytes(Table("empty", ("x", "y"), ()))

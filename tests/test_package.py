@@ -3,7 +3,8 @@ imports and in ``__all__``, and the two must agree.  And the integer rule
 for counts, seeds and state numbers has one owner, ``optics.as_integer``,
 as the rule for vectors of reals has ``optics.as_reals``.  The engine takes
 no branch on the plan type: ``network`` owns the plans and serves both
-through one per-port call."""
+through one per-port call.  And the chart writer builds each repeated SVG
+element, a line or a label, in one place."""
 
 import re
 import types
@@ -49,3 +50,10 @@ def test_engine_has_no_plan_branch():
     # engine is a second dispatch beside it.
     source = (Path(udiscrim.__file__).parent / "montecarlo.py").read_text()
     assert re.findall(r"\b(?:SplitterPlan|NStatePlan)\b", source) == []
+
+
+def test_svg_elements_have_one_writer():
+    # A second hand-written <text> template can forget to escape its label,
+    # or drift from the first in font or attribute order.
+    source = (Path(udiscrim.__file__).parent / "output.py").read_text()
+    assert (source.count("<line"), source.count("<text")) == (1, 1)

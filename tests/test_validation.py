@@ -32,6 +32,7 @@ from udiscrim.drift import (
 )
 from udiscrim.montecarlo import (
     MAX_BLOCKS,
+    MAX_INTENSITY,
     MAX_TRIALS_PER_BLOCK,
     ExperimentConfig,
     binomial_stderr,
@@ -49,7 +50,8 @@ from udiscrim.network import (
     port_contributions,
 )
 from udiscrim.optics import BeamSplitter, from_intensity_phase
-from udiscrim.sweeps import ScenarioParams, SweepSpec, nstate_report, ring_programs
+from udiscrim.output import svg_bytes
+from udiscrim.sweeps import ScenarioParams, SweepSpec, Table, nstate_report, ring_programs
 
 RING = (1.0 + 0j, 1j, -1.0 + 0j)
 
@@ -350,6 +352,10 @@ def test_non_finite_input_is_rejected(build):
         pytest.param(lambda: _config(None, programs=(from_intensity_phase(1e13, 0.0), -1.0 + 0j)),
                      r"programs\[0\] intensity must be a finite number in \[0, 1e\+12\]",
                      id="program-intensity-above-cap"),
+        pytest.param(lambda: _config(None, programs=(
+                         from_intensity_phase(MAX_INTENSITY * (1 + 1e-12), 0.0), -1.0 + 0j)),
+                     r"programs\[0\] intensity must be a finite number in \[0, 1e\+12\]",
+                     id="program-intensity-just-above-cap"),
         # Every entry of a phase vector goes through optics.as_reals: a string,
         # a complex or an int past the float range is named, not left to a
         # bare conversion error, a TypeError or an OverflowError.
@@ -428,11 +434,31 @@ def test_non_finite_input_is_rejected(build):
         pytest.param(lambda: click_matrix(_config(None), [True, 0.0]),
                      r"phase_errors\[0\] must be a finite number, got True$",
                      id="click-matrix-bool-phase"),
+        # A chart names a non-finite cell it would draw: a NaN marker wrote
+        # cy="nan", an infinite x put every tick at "nan", and an infinite
+        # analytic value was drawn at the top of the axis.
+        pytest.param(lambda: svg_bytes(Table("t", ("x", "p_plus", "se_p_plus"),
+                                             ((0.0, math.nan, 0.1),))),
+                     r"p_plus\[0\] must be a finite number, got nan$", id="svg-marker-nan"),
+        pytest.param(lambda: svg_bytes(Table("t", ("x", "p_plus"), ((0.0, 0.5), (math.inf, 0.5)))),
+                     r"x\[1\] must be a finite number, got inf$", id="svg-x-inf"),
+        pytest.param(lambda: svg_bytes(Table("t", ("x", "analytic_p"),
+                                             ((0.0, 0.5), (1.0, math.inf)))),
+                     r"analytic_p\[1\] must be a finite number, got inf$",
+                     id="svg-analytic-inf"),
     ],
 )
 def test_inconsistent_input_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_program_at_the_intensity_cap_is_accepted_at_every_phase():
+    # cmath.rect can return re^2 + im^2 a few ulps above the intensity it
+    # was built from; an amplitude built at exactly the cap stays inside it.
+    for k in range(360):
+        alpha = from_intensity_phase(MAX_INTENSITY, math.radians(k))
+        assert _config(None, programs=(alpha, -1.0 + 0j)).programs[0] == alpha
 
 
 def test_numpy_integers_are_accepted():
