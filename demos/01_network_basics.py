@@ -12,14 +12,14 @@ constant.  A click at a detector therefore *rules out* its program state.
 import math
 
 from udiscrim import (
-    BeamSplitter,
     SplitterPlan,
-    bs_transform,
     classify,
     detector_amplitudes,
     from_intensity_phase,
     intensity,
 )
+# The splitter and its transform are the network's internals, kept in optics.
+from udiscrim.optics import BeamSplitter, bs_transform
 
 # A beam splitter in this package follows the symmetric convention:
 # transmitted light keeps its phase, reflected light picks up i.

@@ -43,16 +43,14 @@ from .montecarlo import (
     run_trial,
 )
 from .network import (
-    BeamSplitter,
     NStatePlan,
     OutcomeKind,
     SplitterPlan,
-    TrialOutcome,
     classify,
     detector_amplitudes,
     outcome_from_clicks,
 )
-from .optics import apply_phase, bs_transform, from_intensity_phase, intensity
+from .optics import from_intensity_phase, intensity
 from .output import csv_bytes, emit, svg_bytes, write_csv, write_svg
 from .sweeps import (
     NSTATE_COLUMNS,
@@ -70,7 +68,6 @@ from .sweeps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamSplitter",
     "Counts",
     "DetectorModel",
     "DriftModel",
@@ -89,13 +86,10 @@ __all__ = [
     "StabilizerConfig",
     "SweepSpec",
     "Table",
-    "TrialOutcome",
     "analytic_nstate_success",
     "analytic_p1",
     "analytic_p2",
-    "apply_phase",
     "binomial_stderr",
-    "bs_transform",
     "classify",
     "click_matrix",
     "click_probability",

@@ -12,10 +12,15 @@ exactly V for balanced arms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .network import NStatePlan
 from .optics import ComplexAmplitude, as_integer, as_real, as_reals, intensity
+
+# The per-port guards screen with one chained comparison, which also fails
+# for NaN and inf; as_real runs only to name a value that fails it.
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,8 @@ def port_mean_photons(
     n = V |sum of amplitudes|^2 + (1 - V) (sum of arm intensities);
     for equal-intensity arms this gives fringe contrast exactly V.
     """
-    if not incoherent_sum_of_intensities >= 0.0:  # NaN fails too
-        raise ValueError(f"arm intensities must sum to >= 0, got {incoherent_sum_of_intensities}")
+    if not 0.0 <= incoherent_sum_of_intensities <= _FLOAT_MAX:
+        as_real("sum of arm intensities", incoherent_sum_of_intensities, 0)
     v = vis.visibility
     return v * intensity(coherent_sum) + (1.0 - v) * incoherent_sum_of_intensities
 
@@ -67,8 +72,8 @@ def click_probability(n: float, det: DetectorModel) -> float:
     Combines the signal and the independent dark channel:
     p = 1 - exp(-(dark_mean + eta * n)).
     """
-    if not n >= 0.0:  # NaN fails too
-        raise ValueError(f"mean photon number must be >= 0, got {n}")
+    if not 0.0 <= n <= _FLOAT_MAX:
+        as_real("mean photon number", n, 0)
     return -math.expm1(-(det.dark_mean + det.eta * n))
 
 

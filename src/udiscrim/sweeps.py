@@ -125,9 +125,17 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class Table:
+    """A named table; every row holds one cell per column."""
+
     name: str
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        for i, row in enumerate(self.rows):
+            if len(row) != len(self.columns):
+                raise ValueError(f"rows[{i}] has {len(row)} cells, expected {len(self.columns)}, "
+                                 "one per column")
 
 
 def _subseed(seed: int, *tags: int) -> int:

@@ -94,3 +94,19 @@ class TestEmit:
     def test_missing_directory_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             emit(small_table(), tmp_path / "no_such_dir" / "t.csv", "csv")
+
+
+# A short row wrote a short CSV line and ended the chart in an IndexError;
+# a long row's extra cell was written to the CSV and dropped from the chart.
+@pytest.mark.parametrize("write", [csv_bytes, svg_bytes])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        pytest.param(((0.0,), (1.0, 0.5)), r"^rows\[0\] has 1 cells, expected 2", id="short"),
+        pytest.param(((0.0, 0.5), (1.0, 0.5, 0.25)), r"^rows\[1\] has 3 cells, expected 2",
+                     id="long"),
+    ],
+)
+def test_ragged_rows_are_rejected(write, rows, message):
+    with pytest.raises(ValueError, match=message):
+        write(Table("t", ("x", "p_a"), rows))
