@@ -60,10 +60,13 @@ def port_mean_photons(
     n = V |sum of amplitudes|^2 + (1 - V) (sum of arm intensities);
     for equal-intensity arms this gives fringe contrast exactly V.
     """
+    coherent = intensity(coherent_sum)
+    if not coherent <= _FLOAT_MAX:  # NaN or inf; an intensity is never negative
+        as_real("coherent_sum intensity", coherent, 0)
     if not 0.0 <= incoherent_sum_of_intensities <= _FLOAT_MAX:
         as_real("sum of arm intensities", incoherent_sum_of_intensities, 0)
     v = vis.visibility
-    return v * intensity(coherent_sum) + (1.0 - v) * incoherent_sum_of_intensities
+    return v * coherent + (1.0 - v) * incoherent_sum_of_intensities
 
 
 def click_probability(n: float, det: DetectorModel) -> float:

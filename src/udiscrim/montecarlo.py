@@ -44,9 +44,10 @@ block size.  Philox is counter based: restoring that state and calling
 ``advance``, as ``run_trial`` does, gives a fresh generator's stream.
 
 ``click_matrix`` is evaluated once per block through the network's one
-per-port call, ``port_contributions``, which serves every plan; the plans
-keep their splitters and the splitters their coefficients, so that call
-builds no splitter.
+per-port call, ``port_contributions``, one body for every plan: each plan
+supplies the unknown's arms and its loops' splitters, which it builds once
+and keeps, as the splitters keep their coefficients, so that call builds
+no splitter.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import numpy as np
 from .detection import DetectorModel, InterferenceModel, click_probability, port_mean_photons
 from .drift import DriftModel, ProbeModel, StabilizerConfig, evolve, stabilize
 from .network import Plan, TrialOutcome, outcome_from_clicks, port_contributions
-# Never called here: bench/tracer.py wraps montecarlo's nstate_port_contributions
+# Never called here: an alias of port_contributions that bench/tracer.py wraps
 # by name, with getattr, so the name must stay until that tracer changes.
 from .network import nstate_port_contributions
 from .optics import ComplexAmplitude, as_integer, as_real, as_reals, intensity
@@ -105,7 +106,7 @@ class InvariantViolation(RuntimeError):
 
 def binomial_stderr(p: float, n: int) -> float:
     """Standard error of a fraction ``p`` estimated from ``n`` trials."""
-    p, n = as_real("fraction", p, 0, 1), as_integer("n", n, 1)
+    p, n = as_real("p", p, 0, 1), as_integer("n", n, 1)
     return math.sqrt(p * (1.0 - p) / n)
 
 
@@ -228,15 +229,19 @@ class ExperimentResult:
     probe_pulses: int = 0
 
 
-def click_matrix(cfg: ExperimentConfig, phases=None) -> np.ndarray:
+def click_matrix(
+    cfg: ExperimentConfig,
+    phase_errors: tuple[float, ...] | None = None,
+) -> np.ndarray:
     """Click probabilities P[k, j]: detector j firing when state k was sent."""
     programs, plan = cfg.programs, cfg.plan
     ports = tuple(zip(cfg.interference, cfg.detectors))
     rows = []
     for alpha in programs:
+        parts = port_contributions(alpha, programs, plan, phase_errors)
         rows.append([
             click_probability(port_mean_photons(u + p, intensity(u) + intensity(p), vis), det)
-            for (u, p), (vis, det) in zip(port_contributions(alpha, programs, plan, phases), ports)
+            for (u, p), (vis, det) in zip(parts, ports)
         ])
     return np.array(rows)
 
@@ -369,7 +374,7 @@ class _Tally(threading.local):
 def run_trial(
     cfg: ExperimentConfig,
     trial_index: int,
-    phase_errors=None,
+    phase_errors: tuple[float, ...] | None = None,
 ) -> TrialOutcome:
     """Outcome of a single pulse, reproducing exactly what the vectorized
     engine does for the same (seed, trial index, phase errors)."""

@@ -12,7 +12,9 @@ difference
 so the port is exactly dark whenever the unknown equals program j.  The
 same difference form holds in the n-state extension, where the unknown is
 split equally into n arms and every arm meets its program state on a
-splitter of transmittance n/(n+1).
+splitter of transmittance n/(n+1).  Each plan supplies ``arms(alpha)``, the
+unknown's trimmed share in front of each loop, and ``stages``, each loop's
+splitter and the input the unknown enters; one ``port_contributions`` serves both.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .optics import (
     as_real,
     as_reals,
     bs_transform,
+    intensity,
 )
 
 # Exact quarter-turn trim applied to the unknown's arm in front of the
@@ -84,6 +87,16 @@ class SplitterPlan:
         """
         return (self.t0 * self.t1, (1.0 - self.t0) * (1.0 - self.t2))
 
+    def arms(self, alpha: ComplexAmplitude) -> tuple[ComplexAmplitude, ComplexAmplitude]:
+        """The input splitter's two outputs, loop 1's arm trimmed by -i."""
+        u_to_1, u_to_2 = bs_transform(alpha, 0j, self.splitters[0])
+        return u_to_1 * _TRIM, u_to_2
+
+    @cached_property
+    def stages(self) -> tuple[tuple[BeamSplitter, bool], ...]:
+        """The splitters of loops 1 and 2; loop 2 takes the unknown on its second input."""
+        return (self.splitters[1], False), (self.splitters[2], True)
+
 
 @dataclass(frozen=True)
 class NStatePlan:
@@ -120,6 +133,25 @@ class NStatePlan:
         """Intensity share each interfering field keeps at every port, 1/(n+1)."""
         return (1.0 / (self.n + 1),) * self.n
 
+    def arms(self, alpha: ComplexAmplitude) -> list[ComplexAmplitude]:
+        """Split ``alpha`` into n arms of equal intensity via the tap chain.
+
+        Each tap peels off 1/n of the original intensity; exact phase
+        trims afterwards give every arm the same coefficient -i/sqrt(n).
+        """
+        arms: list[ComplexAmplitude] = []
+        carry = alpha + 0j
+        for tap in self.taps:
+            carry, tapped = bs_transform(carry, 0j, tap)
+            arms.append(tapped * -1.0)
+        arms.append(carry * _TRIM)
+        return arms
+
+    @cached_property
+    def stages(self) -> tuple[tuple[BeamSplitter, bool], ...]:
+        """The stage splitter for every loop, the unknown on its first input."""
+        return ((self.stage, False),) * self.n
+
 
 Plan = SplitterPlan | NStatePlan
 
@@ -138,25 +170,23 @@ def port_contributions(
     many as the plan serves; ``phase_errors`` are extra phases picked up
     on the unknown's arm of each loop (drift), and ``None`` means none.
     """
-    if isinstance(plan, NStatePlan):
-        return nstate_port_contributions(alpha_unknown, programs, plan, phase_errors)
-    if len(programs) != 2:
-        raise ValueError(f"expected 2 program states, got {len(programs)}")
-    alpha_1, alpha_2 = programs
+    stages = plan.stages
+    n = len(stages)
+    if len(programs) != n:
+        raise ValueError(f"expected {n} program states, got {len(programs)}")
     if phase_errors is None:
-        phase_errors = (0.0, 0.0)
-    phi_1, phi_2 = as_reals("phase_errors", phase_errors, 2, -math.inf)
-    bs0, bs1, bs2 = plan.splitters
-    u_to_1, u_to_2 = bs_transform(alpha_unknown, 0j, bs0)
-    u_to_1, u_to_2 = apply_phase(u_to_1 * _TRIM, phi_1), apply_phase(u_to_2, phi_2)
+        phase_errors = (0.0,) * n
+    phases = as_reals("phase_errors", phase_errors, n, -math.inf)
+    rotated = map(apply_phase, plan.arms(alpha_unknown), phases)
+    return [
+        (bs_transform(0j, arm, bs)[0], bs_transform(program, 0j, bs)[0]) if unknown_second
+        else (bs_transform(arm, 0j, bs)[0], bs_transform(0j, program, bs)[0])
+        for arm, program, (bs, unknown_second) in zip(rotated, programs, stages)
+    ]
 
-    # Loop 1: unknown transmitted into D1, program 1 reflected into D1.
-    d1_u, _ = bs_transform(u_to_1, 0j, bs1)
-    d1_p, _ = bs_transform(0j, alpha_1, bs1)
-    # Loop 2: program 2 transmitted into D2, unknown reflected into D2.
-    d2_p, _ = bs_transform(alpha_2, 0j, bs2)
-    d2_u, _ = bs_transform(0j, u_to_2, bs2)
-    return [(d1_u, d1_p), (d2_u, d2_p)]
+
+# An alias, kept because bench/tracer.py wraps montecarlo's import of this name.
+nstate_port_contributions = port_contributions
 
 
 def detector_amplitudes(
@@ -176,46 +206,11 @@ def detector_amplitudes(
     is dark exactly when the unknown equals program j.  For n = 2 the
     intensities coincide with the two-state plan at t0 = 1/2.
     """
+    as_real("alpha_unknown intensity", intensity(alpha_unknown), 0)
+    for j, alpha in enumerate(programs):
+        as_real(f"programs[{j}] intensity", intensity(alpha), 0)
     parts = port_contributions(alpha_unknown, programs, plan, phase_errors)
     return tuple(u + p for u, p in parts)
-
-
-def _equal_split_arms(
-    alpha: ComplexAmplitude, taps: tuple[BeamSplitter, ...]
-) -> list[ComplexAmplitude]:
-    """Split ``alpha`` into n arms of equal intensity via a tap chain.
-
-    A cascade of n-1 two-port splitters peels off 1/n of the original
-    intensity at each stage; exact phase trims afterwards give every arm
-    the same coefficient -i/sqrt(n).
-    """
-    arms: list[ComplexAmplitude] = []
-    carry = alpha + 0j
-    for tap in taps:
-        carry, tapped = bs_transform(carry, 0j, tap)
-        arms.append(tapped * -1.0)
-    arms.append(carry * _TRIM)
-    return arms
-
-
-def nstate_port_contributions(
-    alpha_unknown: ComplexAmplitude,
-    programs: list[ComplexAmplitude] | tuple[ComplexAmplitude, ...],
-    plan: NStatePlan,
-    phase_errors: tuple[float, ...] | None = None,
-) -> list[tuple[ComplexAmplitude, ComplexAmplitude]]:
-    """Per-port (unknown part, program part) pairs for the n-state network."""
-    n = plan.n
-    if len(programs) != n:
-        raise ValueError(f"expected {n} program states, got {len(programs)}")
-    if phase_errors is None:
-        phase_errors = (0.0,) * n
-    phases = as_reals("phase_errors", phase_errors, n, -math.inf)
-    stage = plan.stage
-    return [
-        (bs_transform(apply_phase(arm, phi), 0j, stage)[0], bs_transform(0j, program, stage)[0])
-        for arm, phi, program in zip(_equal_split_arms(alpha_unknown, plan.taps), phases, programs)
-    ]
 
 
 class OutcomeKind(Enum):
@@ -257,6 +252,8 @@ def outcome_from_clicks(
     true_index: int,
 ) -> TrialOutcome:
     """Label a click pattern given the hypothesis that was actually sent."""
+    if len(clicks) == 0:
+        raise ValueError("clicks must hold one entry per detector, got an empty pattern")
     true_index = as_integer("true_index", true_index, 0, len(clicks) - 1)
     survivors = classify(clicks)
     if len(survivors) == len(clicks):

@@ -242,7 +242,8 @@ def sweep_ratio(spec: SweepSpec, params: ScenarioParams, workers: int = 1) -> Ta
 def ring_programs(n: int, intensity: float, phase_deg: float = 0.0) -> tuple[ComplexAmplitude, ...]:
     """n program states of equal intensity spread evenly in phase."""
     n = as_integer("n", n, 1)
-    base = math.radians(phase_deg)
+    intensity = as_real("intensity", intensity, 0)
+    base = math.radians(as_real("phase_deg", phase_deg, -math.inf))
     return tuple(
         from_intensity_phase(intensity, base + 2.0 * math.pi * k / n) for k in range(n)
     )

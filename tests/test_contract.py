@@ -90,8 +90,8 @@ ROWS = {
                     "eta2": real(0.5, *UNIT)},
     "analytic_p2": {"alpha_1": 1.0 + 0j, "alpha_2": -1.0 + 0j, "t0": real(0.5, *UNIT),
                     "eta1": real(0.5, *UNIT)},
-    "binomial_stderr": {"p": real(0.5, *UNIT, label="fraction"), "n": integer(10, 0)},
-    "click_matrix": {"cfg": CFG, "phases": real([0.1, 0.2], label="phase_errors")},
+    "binomial_stderr": {"p": real(0.5, *UNIT), "n": integer(10, 0)},
+    "click_matrix": {"cfg": CFG, "phase_errors": real([0.1, 0.2])},
     "click_probability": {"n": real(1.0, -1.0, label=PHOTONS), "det": DET},
     # The n-state plan, so that its own phase check is reached.
     "detector_amplitudes": {"alpha_unknown": 1j, "programs": RING, "plan": NStatePlan(3),
@@ -107,8 +107,7 @@ ROWS = {
     "outcome_from_clicks": {"clicks": (True, False), "true_index": integer(0, -1, 2)},
     "port_mean_photons": {"coherent_sum": 1j, "incoherent_sum_of_intensities":
                           real(1.0, -1.0, label="sum of arm intensities"), "vis": VIS},
-    "ring_programs": {"n": integer(3, 0), "intensity": real(1.0, -1.0, label=PHOTONS),
-                      "phase_deg": real(0.0, label="phase")},
+    "ring_programs": {"n": integer(3, 0), "intensity": real(1.0, -1.0), "phase_deg": real(0.0)},
     "run_experiment": {"cfg": CFG, "workers": integer(1, 0)},
     "run_trial": {"cfg": CFG, "trial_index": integer(3, -1), "phase_errors": real([0.1, 0.2])},
     "simulate_drift_paths": {"sigma": real(0.1, -0.1), "blocks": integer(2, 0),

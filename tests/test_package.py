@@ -2,9 +2,10 @@
 imports and in ``__all__``, and the two must agree.  And the integer rule
 for counts, seeds and state numbers has one owner, ``optics.as_integer``,
 as the rule for vectors of reals has ``optics.as_reals``.  The engine takes
-no branch on the plan type: ``network`` owns the plans and serves both
-through one per-port call.  And the chart writer builds each repeated SVG
-element, a line or a label, in one place."""
+no branch on the plan type, and neither does ``network``: each plan
+supplies its arms and stages, and one per-port body serves both.  And the
+chart writer builds each repeated SVG element, a line or a label, in one
+place."""
 
 import re
 import types
@@ -50,6 +51,14 @@ def test_engine_has_no_plan_branch():
     # engine is a second dispatch beside it.
     source = (Path(udiscrim.__file__).parent / "montecarlo.py").read_text()
     assert re.findall(r"\b(?:SplitterPlan|NStatePlan)\b", source) == []
+
+
+def test_network_has_no_plan_branch():
+    # Each plan supplies its arms and stages, so one port body serves both;
+    # a type test on a plan is a second body beside it.
+    source = (Path(udiscrim.__file__).parent / "network.py").read_text()
+    assert re.findall(r"isinstance\([^)]*\b(?:SplitterPlan|NStatePlan|Plan)\b", source) == []
+    assert udiscrim.network.nstate_port_contributions is udiscrim.network.port_contributions
 
 
 def test_svg_elements_have_one_writer():

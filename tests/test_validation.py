@@ -212,6 +212,30 @@ def test_non_finite_input_is_rejected(build):
                      id="outcome-index-negative"),
         pytest.param(lambda: outcome_from_clicks((True, False), 0.5), "true_index",
                      id="outcome-index-fraction"),
+        # An empty pattern is named as such, not as an empty index range.
+        pytest.param(lambda: outcome_from_clicks((), 0),
+                     r"^clicks must hold one entry per detector, got an empty pattern$",
+                     id="outcome-empty-pattern"),
+        # A non-finite amplitude is named where it enters, not returned as
+        # NaN port amplitudes or a NaN mean photon number.
+        pytest.param(lambda: port_mean_photons(complex(math.nan, 0.0), 1.0, InterferenceModel(0.9)),
+                     r"^coherent_sum intensity must be a finite number in \[0, inf\], got nan$",
+                     id="coherent-sum-nan"),
+        pytest.param(lambda: port_mean_photons(complex(0.0, math.inf), 1.0, InterferenceModel(0.9)),
+                     r"^coherent_sum intensity must be a finite number in \[0, inf\], got inf$",
+                     id="coherent-sum-inf"),
+        pytest.param(lambda: detector_amplitudes(complex(math.nan, 0.0), (1.0 + 0j, -1.0 + 0j),
+                                                 SplitterPlan(0.5)),
+                     r"^alpha_unknown intensity must be a finite number in \[0, inf\], got nan$",
+                     id="amplitudes-unknown-nan"),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, (1.0 + 0j, complex(0.0, -math.inf)),
+                                                 SplitterPlan(0.5)),
+                     r"^programs\[1\] intensity must be a finite number in \[0, inf\], got inf$",
+                     id="amplitudes-program-inf"),
+        pytest.param(lambda: detector_amplitudes(1.0 + 0j, (1.0 + 0j, complex(math.nan, 0.0), 1j),
+                                                 NStatePlan(3)),
+                     r"^programs\[1\] intensity must be a finite number in \[0, inf\], got nan$",
+                     id="nstate-amplitudes-program-nan"),
         pytest.param(lambda: nstate_success_from_distances((1.0, 1.0, 1.0), 3, 0.5),
                      "expected 2 squared distances", id="distances-length"),
         # The two-state closed forms check t0, eta and the squared distance
@@ -350,7 +374,7 @@ def test_non_finite_input_is_rejected(build):
         pytest.param(lambda: _config((0.5, 0.25)), "priors must sum to 1, got 0.75",
                      id="priors-sum"),
         pytest.param(lambda: binomial_stderr(1.2, 10),
-                     r"fraction must be a finite number in \[0, 1\]", id="fraction-above-one"),
+                     r"^p must be a finite number in \[0, 1\], got 1.2$", id="fraction-above-one"),
         pytest.param(lambda: binomial_stderr(0.5, 0), "n must be an integer >= 1",
                      id="stderr-n-zero"),
         # Past 1e12 photons, rounding makes a null port click often enough
