@@ -27,7 +27,6 @@ from .drift import (
     StabilizerConfig,
     evolve,
     fringe_visibility_equivalent,
-    simulate_drift_paths,
     stabilize,
 )
 from .montecarlo import (
@@ -41,6 +40,7 @@ from .montecarlo import (
     fractions_from_blocks,
     run_experiment,
     run_trial,
+    simulate_drift_paths,
 )
 from .network import (
     NStatePlan,

@@ -64,7 +64,7 @@ def port_mean_photons(
     if not coherent <= _FLOAT_MAX:  # NaN or inf; an intensity is never negative
         as_real("coherent_sum intensity", coherent, 0)
     if not 0.0 <= incoherent_sum_of_intensities <= _FLOAT_MAX:
-        as_real("sum of arm intensities", incoherent_sum_of_intensities, 0)
+        as_real("incoherent_sum_of_intensities", incoherent_sum_of_intensities, 0)
     v = vis.visibility
     return v * coherent + (1.0 - v) * incoherent_sum_of_intensities
 
@@ -76,7 +76,7 @@ def click_probability(n: float, det: DetectorModel) -> float:
     p = 1 - exp(-(dark_mean + eta * n)).
     """
     if not 0.0 <= n <= _FLOAT_MAX:
-        as_real("mean photon number", n, 0)
+        as_real("n", n, 0)
     return -math.expm1(-(det.dark_mean + det.eta * n))
 
 
@@ -140,5 +140,7 @@ def analytic_nstate_success(
     if len(programs) != plan.n:
         raise ValueError(f"expected {plan.n} program states, got {len(programs)}")
     k = as_integer("k", k, 0, plan.n - 1)
-    d2 = [intensity(programs[j] - programs[k]) for j in range(plan.n) if j != k]
+    # A bad distance is named by its programs, not as the caller's unseen squared_distances.
+    d2 = [as_real(f"|programs[{j}] - programs[{k}]|^2", intensity(programs[j] - programs[k]), 0)
+          for j in range(plan.n) if j != k]
     return nstate_success_from_distances(d2, plan.n, det.eta)

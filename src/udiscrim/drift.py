@@ -8,7 +8,8 @@ stabilizer is a dither-and-lock controller: before a block it fires probe
 pulses with the unknown set equal to the loop's own program state, reads
 the dark-port click rate at two dither offsets, converts the rate
 difference into a phase estimate and applies a proportional correction.
-Probe pulses never enter the measurement statistics.
+Probe pulses never enter the measurement statistics.  The one loop that
+runs these steps block after block is in ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -136,34 +137,3 @@ def fringe_visibility_equivalent(phi: float) -> float:
     phase error ``phi``: (1 - s) / (1 + s) with s = sin^2(phi / 2)."""
     s = math.sin(0.5 * as_real("phi", phi, -math.inf)) ** 2
     return (1.0 - s) / (1.0 + s)
-
-
-def simulate_drift_paths(
-    sigma: float,
-    blocks: int,
-    paths: int,
-    seed: int,
-    stabilizer: StabilizerConfig | None = None,
-    probe: ProbeModel | None = None,
-) -> np.ndarray:
-    """Phase-error trajectories of one loop, with or without the lock.
-
-    Returns an array of shape (paths, blocks) holding the phase after
-    each block's drift step and, if a stabilizer is given, its correction.
-    Each path gets an independent, reproducible stream from ``seed``.
-    """
-    if stabilizer is not None and probe is None:
-        raise ValueError("stabilized paths need a ProbeModel")
-    blocks, paths = as_integer("blocks", blocks, 1), as_integer("paths", paths, 1)
-    seed = as_integer("seed", seed, 0)
-    drift = DriftModel(sigma)
-    out = np.empty((paths, blocks), dtype=float)
-    for p in range(paths):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, p))))
-        phi = np.zeros(1)
-        for b in range(blocks):
-            phi = evolve(phi, drift, rng)
-            if stabilizer is not None:
-                phi, _ = stabilize(phi, stabilizer, [probe], rng)
-            out[p, b] = phi[0]
-    return out

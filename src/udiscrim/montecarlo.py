@@ -6,7 +6,8 @@ the priors, the detector-port mean photon numbers follow from the network
 and the exclusion classifier labels the outcome.  Trials are grouped into
 blocks; drift and stabilization act between blocks.  The phases come only
 from the drift and lock streams, never from the counts, so a run computes
-its whole phase history first and then tallies the blocks in order.
+its whole phase history first and then tallies the blocks in order.  The
+same drift-then-lock loop gives the paths of ``simulate_drift_paths``.
 
 Randomness is counter based: trial ``i`` owns a fixed window of a Philox
 stream keyed by the experiment seed, so the outcome of a trial depends
@@ -183,6 +184,9 @@ class ExperimentConfig:
     stabilizer: StabilizerConfig | None = None
 
     def __post_init__(self) -> None:
+        # A tuple, so no later edit of the caller's list skips the checks.  No
+        # entry is converted: a numpy array's entries keep numpy arithmetic.
+        object.__setattr__(self, "programs", tuple(self.programs))
         n = len(self.programs)
         if n < 2:
             raise ValueError("need at least two program states")
@@ -434,6 +438,23 @@ def _run_block(
     return counts
 
 
+def _phase_history(blocks: int, loops: int, drift: DriftModel | None,
+                   stabilizer: StabilizerConfig | None, probes, drift_rng, lock_rng):
+    """Per block one drift step, then one lock correction, each if configured:
+    the (blocks, loops) phase history and the probe pulses spent."""
+    phases = np.zeros(loops)
+    history = np.empty((blocks, loops), dtype=float)
+    probe_pulses = 0
+    for b in range(blocks):
+        if drift is not None:
+            phases = evolve(phases, drift, drift_rng)
+        if stabilizer is not None:
+            phases, used = stabilize(phases, stabilizer, probes, lock_rng)
+            probe_pulses += used
+        history[b] = phases
+    return history, probe_pulses
+
+
 def fractions_from_blocks(block_counts: tuple[Counts, ...]) -> Fractions:
     """Pooled fractions with standard errors from the block-to-block spread.
 
@@ -446,6 +467,12 @@ def fractions_from_blocks(block_counts: tuple[Counts, ...]) -> Fractions:
         raise ValueError("block_counts is empty: fractions need at least one block")
     n = len(block_counts[0].c_plus)
     nb = len(block_counts)
+    for i, c in enumerate(block_counts):
+        if len(c.c_plus) != n or len(c.c_minus) != n:
+            raise ValueError(f"block_counts[{i}] has {len(c.c_plus)} c_plus and "
+                             f"{len(c.c_minus)} c_minus entries, expected {n} each")
+        if c.c_tot < 1:
+            raise ValueError(f"block_counts[{i}] has c_tot={c.c_tot}: a block needs trials")
     # One row per block: C_j^+, C_j^-, the inconclusive count, then C_tot.
     buckets = np.array([(*c.c_plus, *c.c_minus, c.inconclusive, c.c_tot) for c in block_counts])
     pooled = buckets.sum(axis=0)
@@ -473,16 +500,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     workers = as_integer("workers", workers, 1)
     meas_ss, drift_rng, stab_rng = _streams(cfg.seed)
     probes = None if cfg.stabilizer is None else _probe_models(cfg)
-    phases = np.zeros(cfg.n_states)
-    history = np.empty((cfg.blocks, cfg.n_states), dtype=float)
-    probe_pulses = 0
-    for b in range(cfg.blocks):
-        if cfg.drift is not None:
-            phases = evolve(phases, cfg.drift, drift_rng)
-        if probes is not None:
-            phases, used = stabilize(phases, cfg.stabilizer, probes, stab_rng)
-            probe_pulses += used
-        history[b] = phases
+    history, probe_pulses = _phase_history(cfg.blocks, cfg.n_states, cfg.drift, cfg.stabilizer,
+                                           probes, drift_rng, stab_rng)
 
     tally = _Tally(cfg, meas_ss).tally
     # More threads than chunks per block or than cores would only wait.
@@ -496,3 +515,23 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         phase_history=history,
         probe_pulses=probe_pulses,
     )
+
+
+def simulate_drift_paths(sigma: float, blocks: int, paths: int, seed: int,
+                         stabilizer: StabilizerConfig | None = None,
+                         probe: ProbeModel | None = None) -> np.ndarray:
+    """Phase-error trajectories of one loop, with or without the lock.
+
+    Returns an array of shape (paths, blocks) holding the phase after
+    each block's drift step and, if a stabilizer is given, its correction.
+    Path p runs the engine's block loop on one stream keyed by ``(seed, p)``.
+    """
+    if stabilizer is not None and probe is None:
+        raise ValueError("stabilized paths need a ProbeModel")
+    blocks, paths = as_integer("blocks", blocks, 1), as_integer("paths", paths, 1)
+    seed, drift = as_integer("seed", seed, 0), DriftModel(sigma)
+    out = np.empty((paths, blocks), dtype=float)
+    for p in range(paths):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, p))))
+        out[p] = _phase_history(blocks, 1, drift, stabilizer, [probe], rng, rng)[0][:, 0]
+    return out

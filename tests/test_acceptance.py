@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from udiscrim import cli
+from udiscrim import cli, simulate_drift_paths
 from udiscrim.detection import (
     DetectorModel,
     InterferenceModel,
@@ -22,7 +22,6 @@ from udiscrim.drift import (
     ProbeModel,
     StabilizerConfig,
     fringe_visibility_equivalent,
-    simulate_drift_paths,
 )
 from udiscrim.montecarlo import (
     ExperimentConfig,

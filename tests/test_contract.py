@@ -92,12 +92,13 @@ ROWS = {
                     "eta1": real(0.5, *UNIT)},
     "binomial_stderr": {"p": real(0.5, *UNIT), "n": integer(10, 0)},
     "click_matrix": {"cfg": CFG, "phase_errors": real([0.1, 0.2])},
-    "click_probability": {"n": real(1.0, -1.0, label=PHOTONS), "det": DET},
+    "click_probability": {"n": real(1.0, -1.0), "det": DET},
     # The n-state plan, so that its own phase check is reached.
     "detector_amplitudes": {"alpha_unknown": 1j, "programs": RING, "plan": NStatePlan(3),
                             "phase_errors": real([0.1, 0.2, 0.3])},
     "evolve": {"phases": real([0.1, 0.2]), "drift": DriftModel(0.1), "rng": RNG},
     "fringe_visibility_equivalent": {"phi": real(0.1)},
+    # Sweep users see this label for a negative swept x, where "n" would say less.
     "from_intensity_phase": {"n": real(1.0, -1.0, label=PHOTONS),
                              "phi": real(0.0, label="phase")},
     "nstate_report": {"n": integer(2, 1, MAX_STATES + 1), "params": PARAMS,
@@ -105,8 +106,8 @@ ROWS = {
     "nstate_success_from_distances": {"squared_distances": real([1.0, 2.0], -1.0),
                                       "n": integer(3, 1), "eta": real(0.5, *UNIT)},
     "outcome_from_clicks": {"clicks": (True, False), "true_index": integer(0, -1, 2)},
-    "port_mean_photons": {"coherent_sum": 1j, "incoherent_sum_of_intensities":
-                          real(1.0, -1.0, label="sum of arm intensities"), "vis": VIS},
+    "port_mean_photons": {"coherent_sum": 1j, "incoherent_sum_of_intensities": real(1.0, -1.0),
+                          "vis": VIS},
     "ring_programs": {"n": integer(3, 0), "intensity": real(1.0, -1.0), "phase_deg": real(0.0)},
     "run_experiment": {"cfg": CFG, "workers": integer(1, 0)},
     "run_trial": {"cfg": CFG, "trial_index": integer(3, -1), "phase_errors": real([0.1, 0.2])},

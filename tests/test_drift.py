@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import udiscrim.montecarlo
+from udiscrim import simulate_drift_paths
 from udiscrim.detection import DetectorModel
 from udiscrim.drift import (
     DriftModel,
@@ -10,7 +13,6 @@ from udiscrim.drift import (
     StabilizerConfig,
     evolve,
     fringe_visibility_equivalent,
-    simulate_drift_paths,
     stabilize,
 )
 
@@ -189,6 +191,35 @@ class TestDriftPaths:
         free_q = np.quantile(free, [0.5, 0.75], axis=0)
         locked_q = np.quantile(locked, [0.5, 0.75], axis=0)
         assert np.all(locked_q <= free_q + 1e-9)
+
+    @pytest.mark.parametrize(
+        "locked, digest",
+        [
+            (False, "e42db846569955437ab1cce595aa5aa4201183481bff29f535a64a7e53e5e5a6"),
+            (True, "5687e32bebccaf55349a467e086d0c3feb12c92d298e258d7a03ec6c6abea098"),
+        ],
+    )
+    def test_path_bytes_are_pinned(self, locked, digest):
+        # Five paths of 40 blocks, free and locked, bit for bit.
+        lock = dict(stabilizer=StabilizerConfig(300, 0.4, 0.5), probe=reference_probe())
+        paths = simulate_drift_paths(0.1, 40, 5, seed=7, **(lock if locked else {}))
+        assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
+
+    def test_paths_run_the_engine_loop(self, monkeypatch):
+        # One lock correction per block and path, through the engine's own
+        # stabilize, the one the bench tracer wraps.
+        calls = []
+        real = udiscrim.montecarlo.stabilize
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(udiscrim.montecarlo, "stabilize", counted)
+        blocks, paths = 6, 3
+        simulate_drift_paths(0.05, blocks, paths, seed=2,
+                             stabilizer=StabilizerConfig(), probe=reference_probe())
+        assert len(calls) == blocks * paths
 
     def test_stabilized_needs_probe(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from udiscrim import simulate_drift_paths
 from udiscrim.detection import (
     DetectorModel,
     InterferenceModel,
@@ -27,13 +28,13 @@ from udiscrim.drift import (
     StabilizerConfig,
     evolve,
     fringe_visibility_equivalent,
-    simulate_drift_paths,
     stabilize,
 )
 from udiscrim.montecarlo import (
     MAX_BLOCKS,
     MAX_INTENSITY,
     MAX_TRIALS_PER_BLOCK,
+    Counts,
     ExperimentConfig,
     binomial_stderr,
     click_matrix,
@@ -65,6 +66,11 @@ def _config(priors, programs=(1.0 + 0j, -1.0 + 0j), detectors=1, **sizes):
         priors=priors,
         **sizes,
     )
+
+
+def _counts(n, trials=4):
+    """A block of ``trials`` no-click trials over ``n`` states."""
+    return Counts((0,) * n, (0,) * n, 0, trials, trials)
 
 
 def _probe(**fields):
@@ -176,16 +182,27 @@ def test_non_finite_input_is_rejected(build):
                      r"phases\[1\] must be a finite number, got nan", id="stabilize-phase-nan"),
         # The detection checks let no NaN through.
         pytest.param(lambda: port_mean_photons(1.0 + 0j, math.nan, InterferenceModel(0.9)),
-                     r"sum of arm intensities must be a finite number in \[0, inf\], got nan",
+                     r"incoherent_sum_of_intensities must be a finite number in \[0, inf\], got nan",
                      id="port-photons-nan"),
         pytest.param(lambda: port_mean_photons(1.0 + 0j, -1.0, InterferenceModel(0.9)),
-                     r"sum of arm intensities must be a finite number in \[0, inf\], got -1.0",
+                     r"incoherent_sum_of_intensities must be a finite number in \[0, inf\], "
+                     "got -1.0",
                      id="port-photons-negative"),
         pytest.param(lambda: click_probability(math.nan, DetectorModel(0.5)),
-                     r"mean photon number must be a finite number in \[0, inf\], got nan",
+                     r"^n must be a finite number in \[0, inf\], got nan$",
                      id="click-probability-nan"),
         pytest.param(lambda: fractions_from_blocks(()), "block_counts is empty",
                      id="fractions-no-blocks"),
+        # A block of another state count or of no trials is named, not left
+        # to numpy's shape error or to NaN fractions.
+        pytest.param(lambda: fractions_from_blocks((_counts(2), _counts(3))),
+                     r"^block_counts\[1\] has 3 c_plus and 3 c_minus entries, expected 2 each$",
+                     id="fractions-ragged-blocks"),
+        pytest.param(lambda: fractions_from_blocks((_counts(2), _counts(2, trials=0))),
+                     r"^block_counts\[1\] has c_tot=0: a block needs trials$",
+                     id="fractions-empty-block"),
+        pytest.param(lambda: fractions_from_blocks((_counts(2, trials=0),)),
+                     r"^block_counts\[0\] has c_tot=0", id="fractions-one-empty-block"),
         # The closed forms and the classifier check their inputs like the
         # constructors do.
         pytest.param(lambda: nstate_success_from_distances((), 1, 0.5),
@@ -261,6 +278,20 @@ def test_non_finite_input_is_rejected(build):
         pytest.param(lambda: analytic_p2(1e200, -1e200, 0.5, 0.5),
                      r"\|alpha_1 - alpha_2\|\^2 must be a finite number .* got inf",
                      id="analytic-p2-distance-inf"),
+        # The n-state form names the term |programs[j] - programs[k]|^2 that
+        # is not finite, not the squared_distances its caller never passed.
+        pytest.param(lambda: analytic_nstate_success((1.0 + 0j, complex(math.nan, 0.0), 1j), 0,
+                                                     NStatePlan(3), DetectorModel(0.5)),
+                     r"^\|programs\[1\] - programs\[0\]\|\^2 must be a finite number in "
+                     r"\[0, inf\], got nan$", id="analytic-nstate-program-nan"),
+        pytest.param(lambda: analytic_nstate_success((1.0 + 0j, 1j, complex(0.0, math.inf)), 1,
+                                                     NStatePlan(3), DetectorModel(0.5)),
+                     r"^\|programs\[2\] - programs\[1\]\|\^2 must be a finite number in "
+                     r"\[0, inf\], got inf$", id="analytic-nstate-program-inf"),
+        pytest.param(lambda: analytic_nstate_success((1e154 + 0j, -1e154 + 0j, 0j), 0,
+                                                     NStatePlan(3), DetectorModel(0.5)),
+                     r"^\|programs\[1\] - programs\[0\]\|\^2 must be a finite number in "
+                     r"\[0, inf\], got inf$", id="analytic-nstate-distance-overflow"),
         pytest.param(lambda: analytic_nstate_success(RING[:2], 0, NStatePlan(3),
                                                      DetectorModel(0.5)),
                      "expected 3 program states", id="analytic-programs-length"),
@@ -489,6 +520,20 @@ def test_program_at_the_intensity_cap_is_accepted_at_every_phase():
     for k in range(360):
         alpha = from_intensity_phase(MAX_INTENSITY, math.radians(k))
         assert _config(None, programs=(alpha, -1.0 + 0j)).programs[0] == alpha
+
+
+def test_programs_are_kept_as_a_tuple():
+    # An edit of the caller's list after construction reaches neither the
+    # config nor its intensity check.
+    progs, small = [1.0 + 0j, -1.0 + 0j], dict(trials_per_block=100, blocks=2)
+    cfg = _config(None, programs=progs, **small)
+    progs[0] = 1e300
+    assert cfg.programs == (1.0 + 0j, -1.0 + 0j)
+    assert hash(cfg) == hash(_config(None, **small))
+    assert run_experiment(cfg).counts == run_experiment(_config(None, **small)).counts
+    # A numpy array's entries are kept as they are, not converted.
+    arr = np.array([1.0 + 0j, -1.0 + 0j])
+    assert all(type(a) is np.complex128 for a in _config(None, programs=arr).programs)
 
 
 def test_numpy_integers_are_accepted():
