@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .network import NStatePlan
-from .optics import ComplexAmplitude, as_integer, as_real, as_reals, intensity
+from .optics import ComplexAmplitude, as_instance, as_integer, as_real, as_reals, intensity
 
 # The per-port guards screen with one chained comparison, which also fails
 # for NaN and inf; as_real runs only to name a value that fails it.
@@ -135,7 +135,8 @@ def analytic_nstate_success(
     Every port j != k must click, each with its own exponential law, so the
     result is the product over j != k of 1 - exp(-eta |a_j - a_k|^2/(n+1)).
     """
-    if det.dark_mean != 0.0:
+    as_instance("plan", plan, NStatePlan)
+    if as_instance("det", det, DetectorModel).dark_mean != 0.0:
         raise ValueError("closed form assumes dark_mean = 0; use the Monte Carlo engine instead")
     if len(programs) != plan.n:
         raise ValueError(f"expected {plan.n} program states, got {len(programs)}")

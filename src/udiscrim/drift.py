@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import DetectorModel, click_probability
-from .optics import as_integer, as_real, as_reals
+from .optics import as_instance, as_integer, as_real, as_reals
 
 # The same bound as a block's trials; numpy's binomial draw takes a C long.
 MAX_PROBE_TRIALS = 10**10
@@ -56,10 +56,9 @@ class ProbeModel:
     """What the controller knows about one loop's dark port.
 
     ``coupling`` is the intensity fraction each of the two interfering
-    fields keeps at the dark port (t0/(1+t0) or (1-t0)/(2-t0) for the
-    two-state plan, 1/(n+1) for the n-state plan) and
-    ``program_intensity`` is the mean photon number of the loop's program
-    state, which the probe reuses as the unknown.
+    fields keeps at the dark port, the loop's entry of ``plan.couplings``,
+    and ``program_intensity`` is the mean photon number of the loop's
+    program state, which the probe reuses as the unknown.
     """
 
     coupling: float
@@ -70,6 +69,7 @@ class ProbeModel:
     def __post_init__(self) -> None:
         for name, hi in (("coupling", 1), ("program_intensity", math.inf), ("visibility", 1)):
             object.__setattr__(self, name, as_real(name, getattr(self, name), 0, hi))
+        as_instance("detector", self.detector, DetectorModel)
 
     def dark_port_mean_photons(self, phi: float) -> float:
         base = self.coupling * self.program_intensity

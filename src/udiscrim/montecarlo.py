@@ -71,7 +71,7 @@ from .network import Plan, TrialOutcome, outcome_from_clicks, port_contributions
 # Never called here: an alias of port_contributions that bench/tracer.py wraps
 # by name, with getattr, so the name must stay until that tracer changes.
 from .network import nstate_port_contributions
-from .optics import ComplexAmplitude, as_integer, as_real, as_reals, intensity
+from .optics import ComplexAmplitude, as_instance, as_integer, as_real, as_reals, intensity
 
 _CHUNK = 1 << 16
 # Draws per slice of a chunk (393 KB; 4096 trials at n = 8).  A budget in
@@ -193,10 +193,13 @@ class ExperimentConfig:
         for j, alpha in enumerate(self.programs):
             as_real(f"programs[{j}] intensity", intensity(alpha), 0,
                     MAX_INTENSITY * (1 + 4 * sys.float_info.epsilon))
-        if len(self.plan.couplings) != n:
+        if len(as_instance("plan", self.plan, Plan).couplings) != n:
             raise ValueError(f"plan serves {len(self.plan.couplings)} states, got {n} programs")
-        object.__setattr__(self, "detectors", _broadcast(self.detectors, n, "detectors"))
-        object.__setattr__(self, "interference", _broadcast(self.interference, n, "interference"))
+        for name, kind in (("detectors", DetectorModel), ("interference", InterferenceModel)):
+            items = _broadcast(getattr(self, name), n, name)
+            for j, item in enumerate(items):
+                as_instance(f"{name}[{j}]", item, kind)
+            object.__setattr__(self, name, items)
         priors = (1.0 / n,) * n if self.priors is None else self.priors
         priors = tuple(as_reals("priors", priors, n, 0, 1))
         if abs(sum(priors) - 1.0) > 1e-9:
@@ -205,6 +208,8 @@ class ExperimentConfig:
         for name, hi in (("trials_per_block", MAX_TRIALS_PER_BLOCK), ("blocks", MAX_BLOCKS)):
             object.__setattr__(self, name, as_integer(name, getattr(self, name), 1, hi))
         object.__setattr__(self, "seed", as_integer("seed", self.seed, 0))
+        as_instance("drift", self.drift, DriftModel, optional=True)
+        as_instance("stabilizer", self.stabilizer, StabilizerConfig, optional=True)
 
     @property
     def n_states(self) -> int:
@@ -382,7 +387,7 @@ def run_trial(
 ) -> TrialOutcome:
     """Outcome of a single pulse, reproducing exactly what the vectorized
     engine does for the same (seed, trial index, phase errors)."""
-    trial_index = as_integer("trial_index", trial_index, 0)
+    trial_index = as_integer("trial_index", trial_index, 0, cfg.total_trials - 1)
     n = cfg.n_states
     matrix = click_matrix(cfg, phase_errors)
     stride = _stride(n)

@@ -12,18 +12,19 @@ difference
 so the port is exactly dark whenever the unknown equals program j.  The
 same difference form holds in the n-state extension, where the unknown is
 split equally into n arms and every arm meets its program state on a
-splitter of transmittance n/(n+1).  Each plan supplies ``arms(alpha)``, the
-unknown's trimmed share in front of each loop, and ``stages``, each loop's
-splitter and the input the unknown enters; one ``port_contributions`` serves both.
+splitter of transmittance n/(n+1).  Every plan is a ``Plan``: it stores its
+splitters, its ``stages`` (each loop's splitter and the input the unknown
+enters) and its ``couplings`` once, and supplies ``arms(alpha)``, the
+unknown's trimmed share in front of each loop; one ``port_contributions``
+serves every plan.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .optics import (
     BeamSplitter,
@@ -43,13 +44,32 @@ _TRIM = -1j
 
 
 @dataclass(frozen=True)
-class SplitterPlan:
+class Plan:
+    """What every splitting plan stores, set once by the plan itself:
+    its ``splitters``; ``stages``, each loop's splitter and whether the
+    unknown enters its second input; and ``couplings``, the intensity share
+    each interfering field keeps at each port.  A plan compares, hashes and
+    prints by its one parameter only, and supplies ``arms(alpha)``."""
+
+    splitters: tuple[BeamSplitter, ...] = field(init=False, repr=False, compare=False)
+    stages: tuple[tuple[BeamSplitter, bool], ...] = field(init=False, repr=False, compare=False)
+    couplings: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def _store(self, splitters, stages, couplings) -> None:
+        object.__setattr__(self, "splitters", splitters)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "couplings", couplings)
+
+
+@dataclass(frozen=True)
+class SplitterPlan(Plan):
     """Transmittances of the three splitters for two program states.
 
     Only the input transmittance ``t0`` is free; ``t1`` and ``t2`` are
     always derived from it so the difference form at both detector ports
-    holds for any choice of ``t0``.  The plan builds its three splitters
-    once and keeps them.
+    holds for any choice of ``t0``.  ``splitters`` are the input splitter
+    and the splitters of loops 1 and 2; loop 2 takes the unknown on its
+    second input.  ``couplings`` are t0/(1+t0) and (1-t0)/(2-t0).
     """
 
     t0: float
@@ -62,6 +82,12 @@ class SplitterPlan:
                 f"t0={self.t0} leaves one detector port without signal",
                 stacklevel=3,
             )
+        splitters = BeamSplitter(self.t0), BeamSplitter(self.t1), BeamSplitter(self.t2)
+        # The couplings are products of splitter transmittances: the closed
+        # forms differ from these in the last bit for most t0 (port 2 at
+        # t0 = 1/2 among them), and the lock's phase corrections follow that bit.
+        self._store(splitters, ((splitters[1], False), (splitters[2], True)),
+                    (self.t0 * self.t1, (1.0 - self.t0) * (1.0 - self.t2)))
 
     @property
     def t1(self) -> float:
@@ -71,67 +97,31 @@ class SplitterPlan:
     def t2(self) -> float:
         return (1.0 - self.t0) / (2.0 - self.t0)
 
-    @cached_property
-    def splitters(self) -> tuple[BeamSplitter, BeamSplitter, BeamSplitter]:
-        """The input splitter and the splitters of loops 1 and 2."""
-        return BeamSplitter(self.t0), BeamSplitter(self.t1), BeamSplitter(self.t2)
-
-    @property
-    def couplings(self) -> tuple[float, float]:
-        """Intensity share each interfering field keeps at ports 1 and 2,
-        t0/(1+t0) and (1-t0)/(2-t0).
-
-        Computed as products of splitter transmittances: the closed forms
-        differ from these in the last bit for most t0 (port 2 at t0 = 1/2
-        among them), and the lock's phase corrections follow that bit.
-        """
-        return (self.t0 * self.t1, (1.0 - self.t0) * (1.0 - self.t2))
-
     def arms(self, alpha: ComplexAmplitude) -> tuple[ComplexAmplitude, ComplexAmplitude]:
         """The input splitter's two outputs, loop 1's arm trimmed by -i."""
         u_to_1, u_to_2 = bs_transform(alpha, 0j, self.splitters[0])
         return u_to_1 * _TRIM, u_to_2
 
-    @cached_property
-    def stages(self) -> tuple[tuple[BeamSplitter, bool], ...]:
-        """The splitters of loops 1 and 2; loop 2 takes the unknown on its second input."""
-        return (self.splitters[1], False), (self.splitters[2], True)
-
 
 @dataclass(frozen=True)
-class NStatePlan:
+class NStatePlan(Plan):
     """Splitting plan for n >= 2 program states.
 
     The input splitter divides the unknown equally over n arms and each
     arm meets its program state on a splitter of transmittance n/(n+1).
-    The plan builds its n - 1 taps and its stage splitter once and keeps
-    them.
+    ``splitters`` are the n - 1 taps of the equal split, tap k keeping
+    (n-k-1)/(n-k), then the one stage splitter that every loop shares with
+    the unknown on its first input.  Every coupling is 1/(n+1).
     """
 
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", as_integer("n", self.n, 2))
-
-    @property
-    def stage_transmittance(self) -> float:
-        return self.n / (self.n + 1)
-
-    @cached_property
-    def taps(self) -> tuple[BeamSplitter, ...]:
-        """The tap chain of the equal split: tap k keeps (n-k-1)/(n-k)."""
-        n = self.n
-        return tuple(BeamSplitter((n - k - 1) / (n - k)) for k in range(n - 1))
-
-    @cached_property
-    def stage(self) -> BeamSplitter:
-        """The splitter on which every arm meets its program state."""
-        return BeamSplitter(self.stage_transmittance)
-
-    @property
-    def couplings(self) -> tuple[float, ...]:
-        """Intensity share each interfering field keeps at every port, 1/(n+1)."""
-        return (1.0 / (self.n + 1),) * self.n
+        n = as_integer("n", self.n, 2)
+        object.__setattr__(self, "n", n)
+        stage = BeamSplitter(n / (n + 1))
+        taps = tuple(BeamSplitter((n - k - 1) / (n - k)) for k in range(n - 1))
+        self._store(taps + (stage,), ((stage, False),) * n, (1.0 / (n + 1),) * n)
 
     def arms(self, alpha: ComplexAmplitude) -> list[ComplexAmplitude]:
         """Split ``alpha`` into n arms of equal intensity via the tap chain.
@@ -141,19 +131,11 @@ class NStatePlan:
         """
         arms: list[ComplexAmplitude] = []
         carry = alpha + 0j
-        for tap in self.taps:
+        for tap in self.splitters[:-1]:
             carry, tapped = bs_transform(carry, 0j, tap)
             arms.append(tapped * -1.0)
         arms.append(carry * _TRIM)
         return arms
-
-    @cached_property
-    def stages(self) -> tuple[tuple[BeamSplitter, bool], ...]:
-        """The stage splitter for every loop, the unknown on its first input."""
-        return ((self.stage, False),) * self.n
-
-
-Plan = SplitterPlan | NStatePlan
 
 
 def port_contributions(

@@ -5,7 +5,8 @@ is the mean photon number per pulse.  The only elements needed here are
 phase shifters and lossless two-port beam splitters.  ``as_integer`` is the
 package's one check for counts, seeds and state numbers, ``as_real`` its one
 check for finite, ranged reals, which it keeps as Python floats, and
-``as_reals`` its one check for a vector of them, such as one phase per loop.
+``as_reals`` its one check for a vector of them, such as one phase per loop;
+``as_instance`` names a model of the wrong type where it enters.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ def as_integer(name: str, value, lo: int, hi: int | None = None) -> int:
         return int(value)
     cap = "" if hi is None else f" and at most {hi}"
     raise ValueError(f"{name} must be an integer >= {lo}{cap}, got {value}")
+
+
+def as_instance(name: str, value, kind: type, optional: bool = False):
+    """``value`` if it is a ``kind``, or ``None`` where ``optional``;
+    otherwise a ``ValueError`` naming ``name`` and the type it needs."""
+    if isinstance(value, kind) or (optional and value is None):
+        return value
+    either = " or None" if optional else ""
+    # "an InterferenceModel", "an NStatePlan", "a Plan".
+    article = "an" if kind.__name__[0] in "AEIOU" or kind.__name__[1:2].isupper() else "a"
+    raise ValueError(f"{name} must be {article} {kind.__name__}{either}, got {value!r}")
 
 
 def as_real(name: str, value, lo: float, hi: float = math.inf, *, open_lo: bool = False) -> float:

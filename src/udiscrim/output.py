@@ -1,13 +1,17 @@
 """Deterministic table output: CSV and a dependency-free SVG line chart.
 
-Both writers produce identical bytes for identical tables: CSV cells use
-the shortest round-trip float representation with '.' decimals and LF
-line endings, and the SVG contains no timestamps, random ids or external
+Both writers produce identical bytes for identical tables.  CSV goes
+through the standard library's writer with LF line endings: a float cell
+is its shortest round-trip representation with '.' decimals, and a cell
+holding a comma or a quote is quoted, so every row reads back as one cell
+per column.  The SVG contains no timestamps, random ids or external
 references.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from pathlib import Path
 
@@ -24,17 +28,12 @@ _MARGIN_TOP = 50
 _MARGIN_BOTTOM = 60
 
 
-def _cell(value: float) -> str:
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr even for numpy scalars
-    return str(value)
-
-
 def csv_bytes(table: Table) -> bytes:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows(table.rows)
+    return buffer.getvalue().encode("ascii")
 
 
 def write_csv(table: Table, path: str | Path) -> Path:
@@ -79,6 +78,9 @@ def svg_bytes(table: Table, title: str | None = None, x_label: str = "x") -> byt
     }
     xs = values[table.columns[0]]
     x_min, x_max = min(xs), max(xs)
+    if not math.isfinite(x_max - x_min):
+        raise ValueError(f"{table.columns[0]} spans {x_min!r} to {x_max!r}, "
+                         "wider than the float range")
     span = x_max - x_min if x_max > x_min else 1.0
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT

@@ -110,7 +110,7 @@ ROWS = {
                           "vis": VIS},
     "ring_programs": {"n": integer(3, 0), "intensity": real(1.0, -1.0), "phase_deg": real(0.0)},
     "run_experiment": {"cfg": CFG, "workers": integer(1, 0)},
-    "run_trial": {"cfg": CFG, "trial_index": integer(3, -1), "phase_errors": real([0.1, 0.2])},
+    "run_trial": {"cfg": CFG, "trial_index": integer(3, -1, 10), "phase_errors": real([0.1, 0.2])},
     "simulate_drift_paths": {"sigma": real(0.1, -0.1), "blocks": integer(2, 0),
                              "paths": integer(2, 0), "seed": integer(0, -1),
                              "stabilizer": None, "probe": None},
@@ -173,6 +173,8 @@ def test_every_public_name_has_one_row():
 def test_row_names_every_parameter_and_runs(name):
     params = inspect.signature(getattr(udiscrim, name)).parameters
     assert ROWS[name].keys() == params.keys()
+    # Numbers are found by their annotation, so an unannotated one would skip the table.
+    assert [p for p, v in params.items() if v.annotation is inspect.Parameter.empty] == []
     # A parameter annotated as a number, or as a vector of them, is marked.
     numeric = {p for p, v in params.items() if re.search(r"\b(int|float)\b", str(v.annotation))}
     assert numeric <= {p for p, v in ROWS[name].items() if isinstance(v, Num)}

@@ -1,9 +1,11 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from udiscrim import network
 from udiscrim.network import (
     NStatePlan,
     OutcomeKind,
@@ -57,11 +59,21 @@ class TestSplitterPlan:
         assert plan.splitters is plan.splitters
         assert [bs.transmittance for bs in plan.splitters] == [plan.t0, plan.t1, plan.t2]
         nplan = NStatePlan(5)
-        assert nplan.taps is nplan.taps and nplan.stage is nplan.stage
-        assert [bs.transmittance for bs in nplan.taps] == [4 / 5, 3 / 4, 2 / 3, 1 / 2]
-        assert nplan.stage.transmittance == nplan.stage_transmittance
+        assert [bs.transmittance for bs in nplan.splitters] == [4 / 5, 3 / 4, 2 / 3, 1 / 2, 5 / 6]
         # The kept splitters do not take part in equality or hashing.
         assert plan == SplitterPlan(0.3) and hash(nplan) == hash(NStatePlan(5))
+
+    @pytest.mark.parametrize("plan", [SplitterPlan(0.3), NStatePlan(5)], ids=["two-state", "n-state"])
+    def test_plan_stores_its_facts_once(self, plan):
+        assert isinstance(plan, network.Plan)
+        for name in ("splitters", "stages", "couplings"):
+            assert getattr(plan, name) is getattr(plan, name)
+        # Every loop of the n-state plan shares its one stage splitter.
+        if isinstance(plan, NStatePlan):
+            assert all(bs is plan.splitters[-1] for bs, _ in plan.stages)
+        assert not {"taps", "stage", "stage_transmittance"} & set(dir(plan))
+        assert "cached_property" not in Path(network.__file__).read_text()
+        assert repr(plan) in ("SplitterPlan(t0=0.3)", "NStatePlan(n=5)")
 
 
 class TestDetectorAmplitudes:

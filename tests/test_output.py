@@ -1,3 +1,5 @@
+import csv
+import io
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -34,6 +36,13 @@ class TestCsv:
         lines = csv_bytes(table).decode().strip().split("\n")
         parsed = [tuple(float(c) for c in line.split(",")) for line in lines[1:]]
         assert tuple(parsed) == table.rows
+
+    def test_cells_read_back_through_the_csv_module(self):
+        # A comma in a cell or a column name is quoted, so the row stays one
+        # cell per column.
+        table = Table("t", ("x", "p_a,b"), ((0.0, "1,2"), (0.5, 0.25)))
+        rows = list(csv.reader(io.StringIO(csv_bytes(table).decode())))
+        assert rows == [["x", "p_a,b"], ["0.0", "1,2"], ["0.5", "0.25"]]
 
     def test_write(self, tmp_path):
         path = write_csv(small_table(), tmp_path / "out.csv")

@@ -507,6 +507,43 @@ def test_non_finite_input_is_rejected(build):
                                              ((0.0, 0.5), (1.0, math.inf)))),
                      r"analytic_p\[1\] must be a finite number, got inf$",
                      id="svg-analytic-inf"),
+        # Finite ends whose span overflows put every coordinate at "nan".
+        pytest.param(lambda: svg_bytes(Table("t", ("x", "p_a"), ((-1e308, 0.5), (1e308, 0.4)))),
+                     r"^x spans -1e\+308 to 1e\+308, wider than the float range$",
+                     id="svg-x-span-overflow"),
+        # Philox's counter wraps, so a trial past the run replayed one inside it.
+        pytest.param(lambda: run_trial(_config(None, trials_per_block=5, blocks=2), 10),
+                     r"^trial_index must be an integer >= 0 and at most 9, got 10$",
+                     id="trial-index-past-run"),
+        pytest.param(lambda: run_trial(_config(None, trials_per_block=5, blocks=2), 3 + 2**256),
+                     r"^trial_index must be an integer >= 0 and at most 9, got \d+$",
+                     id="trial-index-counter-wrap"),
+        # A model of the wrong type is named where it enters, not where the
+        # run first reads one of its fields.
+        pytest.param(lambda: ExperimentConfig(RING[:2], "plan", (DetectorModel(0.5),),
+                                              (InterferenceModel(1.0),)),
+                     r"^plan must be a Plan, got 'plan'$", id="config-plan-string"),
+        pytest.param(lambda: ExperimentConfig(RING[:2], SplitterPlan(0.5), ("det",),
+                                              (InterferenceModel(1.0),)),
+                     r"^detectors\[0\] must be a DetectorModel, got 'det'$",
+                     id="config-detector-string"),
+        pytest.param(lambda: ExperimentConfig(RING[:2], SplitterPlan(0.5), (DetectorModel(0.5),),
+                                              (InterferenceModel(1.0), 0.9)),
+                     r"^interference\[1\] must be an InterferenceModel, got 0.9$",
+                     id="config-interference-number"),
+        pytest.param(lambda: _config(None, drift=0.1),
+                     r"^drift must be a DriftModel or None, got 0.1$", id="config-drift-number"),
+        pytest.param(lambda: _config(None, stabilizer=True),
+                     r"^stabilizer must be a StabilizerConfig or None, got True$",
+                     id="config-stabilizer-bool"),
+        pytest.param(lambda: analytic_nstate_success(RING[:2], 0, SplitterPlan(0.5),
+                                                     DetectorModel(0.5)),
+                     r"^plan must be an NStatePlan, got SplitterPlan\(t0=0.5\)$",
+                     id="analytic-nstate-two-state-plan"),
+        pytest.param(lambda: analytic_nstate_success(RING, 0, NStatePlan(3), 0.5),
+                     r"^det must be a DetectorModel, got 0.5$", id="analytic-nstate-det-number"),
+        pytest.param(lambda: _probe(detector="det"),
+                     r"^detector must be a DetectorModel, got 'det'$", id="probe-detector-string"),
     ],
 )
 def test_inconsistent_input_is_rejected(build, message):
