@@ -44,11 +44,9 @@ from .montecarlo import (
 )
 from .network import (
     NStatePlan,
-    OutcomeKind,
     SplitterPlan,
     classify,
     detector_amplitudes,
-    outcome_from_clicks,
 )
 from .optics import from_intensity_phase, intensity
 from .output import csv_bytes, emit, svg_bytes, write_csv, write_svg
@@ -78,7 +76,6 @@ __all__ = [
     "InvariantViolation",
     "NSTATE_COLUMNS",
     "NStatePlan",
-    "OutcomeKind",
     "ProbeModel",
     "RESULT_COLUMNS",
     "ScenarioParams",
@@ -103,7 +100,6 @@ __all__ = [
     "intensity",
     "nstate_report",
     "nstate_success_from_distances",
-    "outcome_from_clicks",
     "port_mean_photons",
     "ring_programs",
     "run_experiment",

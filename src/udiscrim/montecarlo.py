@@ -26,18 +26,23 @@ search.  A table whose buckets all hold one k is a constant truth: no
 truth is looked up, but the draw is still consumed, so the stream layout
 does not depend on the priors.  A slice of trials (see below) is then
 tallied in one pass: the 0/1 rows of hypotheses that no click excluded,
-times a weight vector, give exact integers that a lookup table turns into
-a class (the lone survivor's index, no click, or ambiguous), and one
-``bincount`` over ``truth * (n + 2) + class`` yields every count.  With a
-constant truth every trial compares against the same row, so the compare
-is written transposed, as n rows of slice length.
+times a weight vector, give exact integers that a lookup table,
+``_class_table``, turns into a column of the outcome table: the lone
+survivor's index j, n for no click, or n + 1 for ambiguous.  One
+``bincount`` over ``truth * (n + 2) + column`` yields every count.
+``network.classify`` writes the exclusion rule out; ``run_trial`` finds its
+column from ``classify``'s survivors, and the tests hold the class table to
+that rule.  With a constant truth every trial compares against the same
+row, so the compare is written transposed, as n rows of slice length.
 
 A block is cut into at most ``_CHUNK``-trial chunks of equal size, which
 worker threads share.  Each chunk is drawn and tallied in consecutive
 slices of about ``_SLICE_DRAWS`` draws that add into one (n, n + 2) table
-of counts by truth and class; they read the stream in order, so the counts
+of counts by truth and column; they read the stream in order, so the counts
 do not depend on the slice size.  A block adds its chunks' tables and
 builds its ``Counts`` once; their partition check is the block invariant.
+The run adds the block tables into its ``outcome_table`` and reads its
+pooled ``counts`` from that table through the same helper, ``_counts``.
 A run builds one thread-local ``_Tally``: each worker thread keeps what
 no block changes, one slice-sized draw buffer and one Philox generator
 with its fresh state for the run, so memory does not grow with the
@@ -54,6 +59,7 @@ no splitter.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 import threading
@@ -67,11 +73,12 @@ import numpy as np
 
 from .detection import DetectorModel, InterferenceModel, click_probability, port_mean_photons
 from .drift import DriftModel, ProbeModel, StabilizerConfig, evolve, stabilize
-from .network import Plan, TrialOutcome, outcome_from_clicks, port_contributions
+from .network import Plan, classify, port_contributions
 # Never called here: an alias of port_contributions that bench/tracer.py wraps
 # by name, with getattr, so the name must stay until that tracer changes.
 from .network import nstate_port_contributions
-from .optics import ComplexAmplitude, as_instance, as_integer, as_real, as_reals, intensity
+from .optics import (ComplexAmplitude, _shown, as_instance, as_integer, as_real, as_reals,
+                     intensity)
 
 _CHUNK = 1 << 16
 # Draws per slice of a chunk (393 KB; 4096 trials at n = 8).  A budget in
@@ -186,7 +193,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # A tuple, so no later edit of the caller's list skips the checks.  No
         # entry is converted: a numpy array's entries keep numpy arithmetic.
-        object.__setattr__(self, "programs", tuple(self.programs))
+        object.__setattr__(self, "programs", _entries("programs", self.programs, numbers.Complex))
         n = len(self.programs)
         if n < 2:
             raise ValueError("need at least two program states")
@@ -196,10 +203,7 @@ class ExperimentConfig:
         if len(as_instance("plan", self.plan, Plan).couplings) != n:
             raise ValueError(f"plan serves {len(self.plan.couplings)} states, got {n} programs")
         for name, kind in (("detectors", DetectorModel), ("interference", InterferenceModel)):
-            items = _broadcast(getattr(self, name), n, name)
-            for j, item in enumerate(items):
-                as_instance(f"{name}[{j}]", item, kind)
-            object.__setattr__(self, name, items)
+            object.__setattr__(self, name, _broadcast(getattr(self, name), n, name, kind))
         priors = (1.0 / n,) * n if self.priors is None else self.priors
         priors = tuple(as_reals("priors", priors, n, 0, 1))
         if abs(sum(priors) - 1.0) > 1e-9:
@@ -220,8 +224,20 @@ class ExperimentConfig:
         return self.trials_per_block * self.blocks
 
 
-def _broadcast(items, n: int, what: str) -> tuple:
-    items = tuple(items)
+def _entries(what: str, items, kind: type) -> tuple:
+    """``items`` as a tuple of ``kind``s; otherwise a ``ValueError`` naming
+    ``what``, or ``what[j]`` for a rejected entry."""
+    try:
+        items = tuple(items)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {_shown(items)!r}") from None
+    for j, item in enumerate(items):
+        as_instance(f"{what}[{j}]", item, kind)
+    return items
+
+
+def _broadcast(items, n: int, what: str, kind: type) -> tuple:
+    items = _entries(what, items, kind)
     if len(items) == 1:
         return items * n
     if len(items) != n:
@@ -233,6 +249,10 @@ def _broadcast(items, n: int, what: str) -> tuple:
 class ExperimentResult:
     counts: Counts
     block_counts: tuple[Counts, ...]
+    # The run's (n, n + 2) table of Python ints, summed over the blocks: row
+    # t holds what truth t gave, lone survivor j in column j, then no click,
+    # then ambiguous.  ``counts`` is read from it.
+    outcome_table: tuple[tuple[int, ...], ...]
     fractions: Fractions
     phase_history: np.ndarray  # (blocks, n_states) phase error during each block
     probe_pulses: int = 0
@@ -384,9 +404,11 @@ def run_trial(
     cfg: ExperimentConfig,
     trial_index: int,
     phase_errors: tuple[float, ...] | None = None,
-) -> TrialOutcome:
-    """Outcome of a single pulse, reproducing exactly what the vectorized
-    engine does for the same (seed, trial index, phase errors)."""
+) -> tuple[int, int]:
+    """The (truth, column) cell of a single pulse in the engine's outcome
+    table, reproducing exactly what the vectorized engine does for the same
+    (seed, trial index, phase errors).  The column comes from ``classify``'s
+    survivors, not from the engine's class table."""
     trial_index = as_integer("trial_index", trial_index, 0, cfg.total_trials - 1)
     n = cfg.n_states
     matrix = click_matrix(cfg, phase_errors)
@@ -395,8 +417,9 @@ def run_trial(
     bg.advance(trial_index * (stride // _DRAWS_PER_COUNTER_STEP))
     u = np.random.Generator(bg).random(stride)
     truth = int(np.searchsorted(_prior_cdf(cfg.priors), u[0], side="right"))
-    clicks = tuple(bool(u[1 + j] < matrix[truth, j]) for j in range(n))
-    return outcome_from_clicks(clicks, truth)
+    survivors = classify([u[1 + j] < matrix[truth, j] for j in range(n)])
+    column = survivors[0] if len(survivors) == 1 else n if len(survivors) == n else n + 1
+    return truth, column
 
 
 def _probe_models(cfg: ExperimentConfig) -> list[ProbeModel]:
@@ -420,27 +443,32 @@ def _chunk_bounds(base: int, trials: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _counts(rows, trials: int) -> Counts:
+    """The ``Counts`` of an (n, n + 2) outcome table of Python ints, checked
+    to partition ``trials``."""
+    n = len(rows)
+    counts = Counts(
+        tuple(r[t] for t, r in enumerate(rows)),
+        tuple(sum(r[:n]) - r[t] for t, r in enumerate(rows)),
+        sum(r[n + 1] for r in rows),
+        sum(r[n] for r in rows),
+        trials,
+    )
+    counts.check()
+    return counts
+
+
 def _run_block(
     cfg: ExperimentConfig,
     block_index: int,
     phases,
     tally: Callable[[tuple[int, int], np.ndarray], np.ndarray],
     pool: ThreadPoolExecutor | None,
-) -> Counts:
-    """The block's counts, from the sum of its chunks' tables."""
-    n = cfg.n_states
+) -> np.ndarray:
+    """The block's (n, n + 2) table, the sum of its chunks' tables."""
     bounds = _chunk_bounds(block_index * cfg.trials_per_block, cfg.trials_per_block)
     work = partial(tally, matrix=click_matrix(cfg, phases))
-    rows = sum(map(work, bounds) if pool is None else pool.map(work, bounds)).tolist()
-    counts = Counts(
-        tuple(r[t] for t, r in enumerate(rows)),
-        tuple(sum(r[:n]) - r[t] for t, r in enumerate(rows)),
-        sum(r[n + 1] for r in rows),
-        sum(r[n] for r in rows),
-        cfg.trials_per_block,
-    )
-    counts.check()
-    return counts
+    return sum(map(work, bounds) if pool is None else pool.map(work, bounds))
 
 
 def _phase_history(blocks: int, loops: int, drift: DriftModel | None,
@@ -511,11 +539,19 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     tally = _Tally(cfg, meas_ss).tally
     # More threads than chunks per block or than cores would only wait.
     threads = min(workers, len(_chunk_bounds(0, cfg.trials_per_block)), os.cpu_count() or 1)
+    # A block keeps only its Counts: at n = 64 its table of Python ints takes
+    # about 38 KiB, which is about 4 GB at MAX_BLOCKS.
+    block_counts, pooled = [], 0
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        block_counts = tuple(_run_block(cfg, b, history[b], tally, pool) for b in range(cfg.blocks))
+        for b in range(cfg.blocks):
+            table = _run_block(cfg, b, history[b], tally, pool)
+            block_counts.append(_counts(table.tolist(), cfg.trials_per_block))
+            pooled = pooled + table
+    outcome_table = tuple(map(tuple, pooled.tolist()))
     return ExperimentResult(
-        counts=sum(block_counts[1:], block_counts[0]),
-        block_counts=block_counts,
+        counts=_counts(outcome_table, cfg.total_trials),
+        block_counts=tuple(block_counts),
+        outcome_table=outcome_table,
         fractions=fractions_from_blocks(block_counts),
         phase_history=history,
         probe_pulses=probe_pulses,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .optics import (
     BeamSplitter,
@@ -195,53 +194,14 @@ def detector_amplitudes(
     return tuple(u + p for u, p in parts)
 
 
-class OutcomeKind(Enum):
-    CORRECT = "correct"
-    ERRONEOUS = "erroneous"
-    NO_CLICK = "no_click"
-    MULTI_CLICK = "multi_click"
-
-    @property
-    def conclusive(self) -> bool:
-        return self in (OutcomeKind.CORRECT, OutcomeKind.ERRONEOUS)
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one pulse: what was reported against what was sent.
-
-    ``reported`` is None unless the trial was conclusive.
-    """
-
-    kind: OutcomeKind
-    true_index: int
-    reported: int | None = None
-
-
 def classify(clicks: list[bool] | tuple[bool, ...]) -> tuple[int, ...]:
     """Surviving hypothesis indices after exclusion by clicks.
 
     A click at detector j rules out hypothesis j.  The trial is conclusive
     exactly when one hypothesis survives; for two program states this is
     the single-click rule (a click at D1 identifies state 2 and vice
-    versa, no click or a double click is inconclusive).
+    versa, no click or a double click is inconclusive).  The engine files a
+    trial under one column of its (n, n + 2) table: j for a lone survivor
+    j, n for no click and n + 1 for every other pattern.
     """
     return tuple(j for j, c in enumerate(clicks) if not c)
-
-
-def outcome_from_clicks(
-    clicks: list[bool] | tuple[bool, ...],
-    true_index: int,
-) -> TrialOutcome:
-    """Label a click pattern given the hypothesis that was actually sent."""
-    if len(clicks) == 0:
-        raise ValueError("clicks must hold one entry per detector, got an empty pattern")
-    true_index = as_integer("true_index", true_index, 0, len(clicks) - 1)
-    survivors = classify(clicks)
-    if len(survivors) == len(clicks):
-        return TrialOutcome(OutcomeKind.NO_CLICK, true_index)
-    if len(survivors) == 1:
-        reported = survivors[0]
-        kind = OutcomeKind.CORRECT if reported == true_index else OutcomeKind.ERRONEOUS
-        return TrialOutcome(kind, true_index, reported)
-    return TrialOutcome(OutcomeKind.MULTI_CLICK, true_index)

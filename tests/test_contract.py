@@ -105,7 +105,6 @@ ROWS = {
                       "workers": integer(1, 0), "programs": None},
     "nstate_success_from_distances": {"squared_distances": real([1.0, 2.0], -1.0),
                                       "n": integer(3, 1), "eta": real(0.5, *UNIT)},
-    "outcome_from_clicks": {"clicks": (True, False), "true_index": integer(0, -1, 2)},
     "port_mean_photons": {"coherent_sum": 1j, "incoherent_sum_of_intensities": real(1.0, -1.0),
                           "vis": VIS},
     "ring_programs": {"n": integer(3, 0), "intensity": real(1.0, -1.0), "phase_deg": real(0.0)},
@@ -128,7 +127,6 @@ EXEMPT = {
     "Fractions": "a result type that fractions_from_blocks builds",
     "InvariantViolation": "an exception",
     "NSTATE_COLUMNS": "a constant",
-    "OutcomeKind": "an enum",
     "RESULT_COLUMNS": "a constant",
     "Table": "its cells are data; svg_bytes names a non-finite cell it draws",
     "classify": "takes clicks, which are bools",

@@ -21,7 +21,7 @@ from udiscrim.montecarlo import (
     run_experiment,
     run_trial,
 )
-from udiscrim.network import NStatePlan, OutcomeKind, SplitterPlan
+from udiscrim.network import NStatePlan, SplitterPlan
 from udiscrim.optics import from_intensity_phase
 from udiscrim.sweeps import ring_programs
 
@@ -145,20 +145,17 @@ class TestDeterminism:
         # Two blocks, so the replay also covers the block offset into the stream.
         cfg = ring_config(n, priors=priors, trials_per_block=300, blocks=2)
         res = run_experiment(cfg)
-        tally = {k: 0 for k in OutcomeKind}
-        plus = [0] * n
-        minus = [0] * n
+        table = [[0] * (n + 2) for _ in range(n)]
         for i in range(cfg.total_trials):
-            out = run_trial(cfg, i)
-            tally[out.kind] += 1
-            if out.kind is OutcomeKind.CORRECT:
-                plus[out.true_index] += 1
-            elif out.kind is OutcomeKind.ERRONEOUS:
-                minus[out.true_index] += 1
+            truth, column = run_trial(cfg, i)
+            table[truth][column] += 1
+        plus = [table[t][t] for t in range(n)]
+        minus = [sum(table[t][:n]) - table[t][t] for t in range(n)]
+        assert tuple(map(tuple, table)) == res.outcome_table
         assert tuple(plus) == res.counts.c_plus
         assert tuple(minus) == res.counts.c_minus
-        assert tally[OutcomeKind.NO_CLICK] == res.counts.no_clicks
-        assert tally[OutcomeKind.MULTI_CLICK] == res.counts.double_clicks
+        assert sum(r[n] for r in table) == res.counts.no_clicks
+        assert sum(r[n + 1] for r in table) == res.counts.double_clicks
 
     @pytest.mark.parametrize(
         "priors, truth",
@@ -353,10 +350,8 @@ class TestPhysics:
     def test_null_port_forbids_errors_and_double_clicks(self):
         cfg = base_config(priors=(1.0, 0.0), trials_per_block=5_000, blocks=2)
         for i in range(1000):
-            out = run_trial(cfg, i)
-            assert out.kind in (OutcomeKind.CORRECT, OutcomeKind.NO_CLICK)
-            if out.kind is OutcomeKind.CORRECT:
-                assert out.reported == 0
+            # Truth 0, then either a correct report of 0 or no click (column n).
+            assert run_trial(cfg, i) in ((0, 0), (0, 2))
         res = run_experiment(cfg)
         assert sum(res.counts.c_minus) == 0
         assert res.counts.double_clicks == 0
@@ -425,6 +420,15 @@ class TestCountsAndFractions:
         assert counts.conclusive + counts.inconclusive == counts.c_tot
         for c in res.block_counts:
             c.check()
+
+    def test_outcome_table_pools_the_blocks(self):
+        cfg = ring_config(3, priors=(0.2, 0.3, 0.5), trials_per_block=2000, blocks=3)
+        res = run_experiment(cfg)
+        table = res.outcome_table
+        assert [len(row) for row in table] == [5, 5, 5]
+        assert all(type(x) is int for row in table for x in row)
+        assert sum(map(sum, table)) == cfg.total_trials
+        assert res.counts == sum(res.block_counts[1:], res.block_counts[0])
 
     def test_check_raises_on_corruption(self):
         bad = Counts((1, 0), (0, 0), 0, 0, 5)

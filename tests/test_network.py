@@ -5,17 +5,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from udiscrim import network
+from udiscrim import montecarlo, network
 from udiscrim.network import (
     NStatePlan,
-    OutcomeKind,
     SplitterPlan,
     classify,
     detector_amplitudes,
-    outcome_from_clicks,
     port_contributions,
 )
 from udiscrim.optics import intensity
+
+
+def engine_columns(patterns):
+    """The engine's column for each row of a (patterns, n) bool array of
+    clicks, read through its class table as its tally reads it."""
+    weights, classes = montecarlo._class_table(patterns.shape[1])
+    return classes[(~patterns @ weights).astype(np.intp)].tolist()
+
+
+def classify_column(pattern):
+    """The column that ``classify``'s survivors name: the lone survivor j,
+    n for no click (all n survive), n + 1 for every other pattern."""
+    survivors, n = classify(pattern), len(pattern)
+    return survivors[0] if len(survivors) == 1 else n if len(survivors) == n else n + 1
 
 
 def random_state(rng):
@@ -191,30 +203,28 @@ class TestClassify:
         assert classify((True, True)) == ()
 
     def test_two_state_outcomes(self):
-        out = outcome_from_clicks((True, False), true_index=1)
-        assert out.kind is OutcomeKind.CORRECT and out.reported == 1
-        out = outcome_from_clicks((True, False), true_index=0)
-        assert out.kind is OutcomeKind.ERRONEOUS and out.reported == 1
-        assert outcome_from_clicks((False, False), 0).kind is OutcomeKind.NO_CLICK
-        assert outcome_from_clicks((True, True), 0).kind is OutcomeKind.MULTI_CLICK
+        # The engine's columns at n = 2: D1 alone names state 2, D2 alone
+        # state 1; then no click, then the double click.
+        patterns = np.array([(True, False), (False, True), (False, False), (True, True)])
+        assert engine_columns(patterns) == [1, 0, 2, 3]
 
     def test_three_state_pair_click_identifies_the_third(self):
-        out = outcome_from_clicks((True, True, False), true_index=2)
-        assert out.kind is OutcomeKind.CORRECT
-        assert out.reported == 2
+        assert classify((True, True, False)) == (2,)
+        assert engine_columns(np.array([(True, True, False)])) == [2]
 
     def test_exclusion_logic_exhaustive(self):
-        # Conclusive exactly when the pattern excludes all but one
-        # hypothesis; the survivor must be the unclicked detector.
-        for n in range(2, 6):
-            for pattern in itertools.product((False, True), repeat=n):
-                survivors = classify(pattern)
-                assert survivors == tuple(j for j in range(n) if not pattern[j])
-                out = outcome_from_clicks(pattern, true_index=0)
-                if sum(pattern) == 0:
-                    assert out.kind is OutcomeKind.NO_CLICK
-                elif sum(pattern) == n - 1:
-                    assert out.kind.conclusive
-                    assert out.reported == survivors[0]
-                else:
-                    assert out.kind is OutcomeKind.MULTI_CLICK
+        # The engine's class table files every pattern under the column of
+        # classify's survivors: every pattern up to n = 10, then seeded ones
+        # at n = 64, each with one survivor at a random port, no click, or a
+        # uniform number of survivors, in equal shares.
+        for n in range(2, 11):
+            patterns = list(itertools.product((False, True), repeat=n))
+            for pattern in patterns:
+                assert classify(pattern) == tuple(j for j in range(n) if not pattern[j])
+            assert engine_columns(np.array(patterns)) == [classify_column(p) for p in patterns]
+        rng = np.random.default_rng(64)
+        patterns = np.ones((1000, 64), dtype=bool)
+        for row in patterns:
+            alive = (1, 64, rng.integers(65))[rng.integers(3)]
+            row[rng.choice(64, size=alive, replace=False)] = False
+        assert engine_columns(patterns) == [classify_column(tuple(p)) for p in patterns]

@@ -47,7 +47,6 @@ from udiscrim.network import (
     SplitterPlan,
     detector_amplitudes,
     nstate_port_contributions,
-    outcome_from_clicks,
     port_contributions,
 )
 from udiscrim.optics import BeamSplitter, from_intensity_phase
@@ -222,17 +221,6 @@ def test_non_finite_input_is_rejected(build):
                      "phi must be a finite number, got nan", id="visibility-phi-nan"),
         pytest.param(lambda: fringe_visibility_equivalent(math.inf), "phi",
                      id="visibility-phi-inf"),
-        pytest.param(lambda: outcome_from_clicks((True, False), 5),
-                     "true_index must be an integer >= 0 and at most 1, got 5",
-                     id="outcome-index-past-n"),
-        pytest.param(lambda: outcome_from_clicks((True, False), -1), "true_index",
-                     id="outcome-index-negative"),
-        pytest.param(lambda: outcome_from_clicks((True, False), 0.5), "true_index",
-                     id="outcome-index-fraction"),
-        # An empty pattern is named as such, not as an empty index range.
-        pytest.param(lambda: outcome_from_clicks((), 0),
-                     r"^clicks must hold one entry per detector, got an empty pattern$",
-                     id="outcome-empty-pattern"),
         # A non-finite amplitude is named where it enters, not returned as
         # NaN port amplitudes or a NaN mean photon number.
         pytest.param(lambda: port_mean_photons(complex(math.nan, 0.0), 1.0, InterferenceModel(0.9)),
@@ -531,6 +519,22 @@ def test_non_finite_input_is_rejected(build):
                                               (InterferenceModel(1.0), 0.9)),
                      r"^interference\[1\] must be an InterferenceModel, got 0.9$",
                      id="config-interference-number"),
+        # One model or one amplitude where a sequence is due, and a program
+        # that is not a number, are named by their field.
+        pytest.param(lambda: ExperimentConfig(RING[:2], SplitterPlan(0.5), DetectorModel(0.5),
+                                              (InterferenceModel(1.0),)),
+                     r"^detectors must be a sequence, got DetectorModel\(eta=0\.5, dark_mean=0\.0\)$",
+                     id="config-detectors-one-model"),
+        pytest.param(lambda: ExperimentConfig(RING[:2], SplitterPlan(0.5), (DetectorModel(0.5),),
+                                              InterferenceModel(1.0)),
+                     r"^interference must be a sequence, got InterferenceModel\(visibility=1\.0\)$",
+                     id="config-interference-one-model"),
+        pytest.param(lambda: ExperimentConfig(1.0 + 0j, SplitterPlan(0.5), (DetectorModel(0.5),),
+                                              (InterferenceModel(1.0),)),
+                     r"^programs must be a sequence, got \(1\+0j\)$", id="config-programs-one-amplitude"),
+        pytest.param(lambda: ExperimentConfig((1.0 + 0j, "x"), SplitterPlan(0.5),
+                                              (DetectorModel(0.5),), (InterferenceModel(1.0),)),
+                     r"^programs\[1\] must be a Complex, got 'x'$", id="config-program-string"),
         pytest.param(lambda: _config(None, drift=0.1),
                      r"^drift must be a DriftModel or None, got 0.1$", id="config-drift-number"),
         pytest.param(lambda: _config(None, stabilizer=True),
