@@ -16,7 +16,8 @@ import sys
 from dataclasses import dataclass
 
 from .network import NStatePlan
-from .optics import ComplexAmplitude, as_instance, as_integer, as_real, as_reals, intensity
+from .optics import (ComplexAmplitude, as_amplitude, as_instance, as_integer, as_real, as_reals,
+                     intensity)
 
 # The per-port guards screen with one chained comparison, which also fails
 # for NaN and inf; as_real runs only to name a value that fails it.
@@ -62,7 +63,7 @@ def port_mean_photons(
     """
     coherent = intensity(coherent_sum)
     if not coherent <= _FLOAT_MAX:  # NaN or inf; an intensity is never negative
-        as_real("coherent_sum intensity", coherent, 0)
+        as_amplitude("coherent_sum", coherent_sum)
     if not 0.0 <= incoherent_sum_of_intensities <= _FLOAT_MAX:
         as_real("incoherent_sum_of_intensities", incoherent_sum_of_intensities, 0)
     v = vis.visibility
@@ -93,6 +94,7 @@ def analytic_p1(
     and a click there is the conclusive event.
     """
     t0, eta2 = as_real("t0", t0, 0, 1), as_real("eta2", eta2, 0, 1)
+    alpha_1, alpha_2 = as_amplitude("alpha_1", alpha_1), as_amplitude("alpha_2", alpha_2)
     d2 = as_real("|alpha_1 - alpha_2|^2", intensity(alpha_1 - alpha_2), 0)
     return -math.expm1(-eta2 * (1.0 - t0) / (2.0 - t0) * d2)
 
@@ -106,6 +108,7 @@ def analytic_p2(
     """Probability of correctly identifying program state 2 (mirror of
     :func:`analytic_p1` with splitting factor t0/(1+t0) and detector 1)."""
     t0, eta1 = as_real("t0", t0, 0, 1), as_real("eta1", eta1, 0, 1)
+    alpha_1, alpha_2 = as_amplitude("alpha_1", alpha_1), as_amplitude("alpha_2", alpha_2)
     d2 = as_real("|alpha_1 - alpha_2|^2", intensity(alpha_1 - alpha_2), 0)
     return -math.expm1(-eta1 * t0 / (1.0 + t0) * d2)
 
@@ -141,6 +144,8 @@ def analytic_nstate_success(
     if len(programs) != plan.n:
         raise ValueError(f"expected {plan.n} program states, got {len(programs)}")
     k = as_integer("k", k, 0, plan.n - 1)
+    for j, alpha in enumerate(programs):
+        as_amplitude(f"programs[{j}]", alpha)
     # A bad distance is named by its programs, not as the caller's unseen squared_distances.
     d2 = [as_real(f"|programs[{j}] - programs[{k}]|^2", intensity(programs[j] - programs[k]), 0)
           for j in range(plan.n) if j != k]

@@ -59,7 +59,6 @@ no splitter.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 import threading
@@ -77,8 +76,8 @@ from .network import Plan, classify, port_contributions
 # Never called here: an alias of port_contributions that bench/tracer.py wraps
 # by name, with getattr, so the name must stay until that tracer changes.
 from .network import nstate_port_contributions
-from .optics import (ComplexAmplitude, _shown, as_instance, as_integer, as_real, as_reals,
-                     intensity)
+from .optics import (ComplexAmplitude, _shown, as_amplitude, as_instance, as_integer, as_real,
+                     as_reals, intensity)
 
 _CHUNK = 1 << 16
 # Draws per slice of a chunk (393 KB; 4096 trials at n = 8).  A budget in
@@ -106,6 +105,7 @@ MAX_TRIALS_PER_BLOCK = 10**10
 # cmath.rect(sqrt(N), phi) reads up to 2 epsilons above N, so an amplitude
 # built at exactly the cap would otherwise fail for about a quarter of phases.
 MAX_INTENSITY = 1e12
+_as_program = partial(as_amplitude, hi=MAX_INTENSITY * (1 + 4 * sys.float_info.epsilon))
 
 
 class InvariantViolation(RuntimeError):
@@ -193,13 +193,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # A tuple, so no later edit of the caller's list skips the checks.  No
         # entry is converted: a numpy array's entries keep numpy arithmetic.
-        object.__setattr__(self, "programs", _entries("programs", self.programs, numbers.Complex))
+        object.__setattr__(self, "programs", _entries("programs", self.programs, _as_program))
         n = len(self.programs)
         if n < 2:
             raise ValueError("need at least two program states")
-        for j, alpha in enumerate(self.programs):
-            as_real(f"programs[{j}] intensity", intensity(alpha), 0,
-                    MAX_INTENSITY * (1 + 4 * sys.float_info.epsilon))
         if len(as_instance("plan", self.plan, Plan).couplings) != n:
             raise ValueError(f"plan serves {len(self.plan.couplings)} states, got {n} programs")
         for name, kind in (("detectors", DetectorModel), ("interference", InterferenceModel)):
@@ -224,20 +221,20 @@ class ExperimentConfig:
         return self.trials_per_block * self.blocks
 
 
-def _entries(what: str, items, kind: type) -> tuple:
-    """``items`` as a tuple of ``kind``s; otherwise a ``ValueError`` naming
-    ``what``, or ``what[j]`` for a rejected entry."""
+def _entries(what: str, items, check: Callable) -> tuple:
+    """``items`` as a tuple, each entry unconverted if ``check(name, entry)``
+    passes; otherwise a ``ValueError`` naming ``what``, or ``what[j]``."""
     try:
         items = tuple(items)
     except TypeError:
         raise ValueError(f"{what} must be a sequence, got {_shown(items)!r}") from None
     for j, item in enumerate(items):
-        as_instance(f"{what}[{j}]", item, kind)
+        check(f"{what}[{j}]", item)
     return items
 
 
 def _broadcast(items, n: int, what: str, kind: type) -> tuple:
-    items = _entries(what, items, kind)
+    items = _entries(what, items, partial(as_instance, kind=kind))
     if len(items) == 1:
         return items * n
     if len(items) != n:

@@ -29,11 +29,11 @@ from .optics import (
     BeamSplitter,
     ComplexAmplitude,
     apply_phase,
+    as_amplitude,
     as_integer,
     as_real,
     as_reals,
     bs_transform,
-    intensity,
 )
 
 # Exact quarter-turn trim applied to the unknown's arm in front of the
@@ -187,9 +187,9 @@ def detector_amplitudes(
     is dark exactly when the unknown equals program j.  For n = 2 the
     intensities coincide with the two-state plan at t0 = 1/2.
     """
-    as_real("alpha_unknown intensity", intensity(alpha_unknown), 0)
+    as_amplitude("alpha_unknown", alpha_unknown)
     for j, alpha in enumerate(programs):
-        as_real(f"programs[{j}] intensity", intensity(alpha), 0)
+        as_amplitude(f"programs[{j}]", alpha)
     parts = port_contributions(alpha_unknown, programs, plan, phase_errors)
     return tuple(u + p for u, p in parts)
 

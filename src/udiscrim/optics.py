@@ -3,10 +3,10 @@
 A coherent state is represented by one complex number; its squared modulus
 is the mean photon number per pulse.  The only elements needed here are
 phase shifters and lossless two-port beam splitters.  ``as_integer`` is the
-package's one check for counts, seeds and state numbers, ``as_real`` its one
-check for finite, ranged reals, which it keeps as Python floats, and
-``as_reals`` its one check for a vector of them, such as one phase per loop;
-``as_instance`` names a model of the wrong type where it enters.
+package's one check for counts, seeds and state numbers, ``as_real`` for
+finite, ranged reals, which it keeps as Python floats, ``as_reals`` for a
+vector of them, such as one phase per loop, and ``as_amplitude`` for a complex
+amplitude; ``as_instance`` names a model of the wrong type where it enters.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 ComplexAmplitude = complex
 
@@ -79,9 +81,19 @@ def as_reals(name: str, values, n: int | None, lo: float, hi: float = math.inf) 
     return xs
 
 
+def as_amplitude(name: str, value, hi: float = math.inf):
+    """``value`` unconverted, so numpy keeps numpy arithmetic, if it is a complex
+    number, not a bool, whose intensity ``as_real`` accepts in [0, hi];
+    otherwise a ``ValueError`` naming ``name``, or ``name intensity``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ValueError(f"{name} must be a Complex, got {_shown(value)!r}")
+    as_real(f"{name} intensity", intensity(value), 0, hi)
+    return value
+
+
 def _shown(value):
     """A rejected value as a message shows it: a numpy scalar by its Python value."""
-    return value.item() if isinstance(value, numbers.Number) and hasattr(value, "item") else value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass(frozen=True)

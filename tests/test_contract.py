@@ -1,16 +1,20 @@
 """One input contract for every public name.
 
 Each name in ``udiscrim.__all__`` has one row here: either a valid base
-call that names every parameter, with the real, integer and real-vector
-ones marked, or a one-line reason why it takes no number.  Every marked
-parameter then gets NaN, +inf, -inf, a numpy NaN and its out-of-range
-values, and an integer also 2.5.  For a vector the first and the last
-entry take them, and the error names that entry, ``name[j]``.  Each case
-expects a ``ValueError`` that names the parameter and shows the value as
-a plain Python number.  A public name with no row fails, and so does a
-parameter that its row does not name, or does not mark though it is
-annotated as a number, so a new one cannot skip the contract.  Complex
-amplitudes and bools are not in the table.
+call that names every parameter, with the real, integer, real-vector and
+complex-amplitude ones marked, or a one-line reason why it takes no number.
+Every marked real or integer parameter then gets NaN, +inf, -inf, a numpy
+NaN and its out-of-range values, and an integer also 2.5.  A marked
+amplitude gets each of those non-finite values as its real and as its
+imaginary part, 1e200, whose intensity overflows, and its out-of-range
+values, each named as ``name intensity``; and ``True``, ``np.True_``,
+``"x"`` and ``None``, which are not amplitudes.  For a vector the first
+and the last entry take them, and the error names that entry,
+``name[j]``.  Each case expects a ``ValueError`` that names the parameter
+and shows the value, or the intensity, as a plain Python value.  A public
+name with no row fails, and so does a parameter that its row does not
+name, or does not mark though it is annotated as a number or an
+amplitude, so a new one cannot skip the contract.
 """
 
 import inspect
@@ -48,6 +52,27 @@ def integer(base, *bad):
     return Num(base, (2.5, *bad))
 
 
+class Amp(NamedTuple):
+    """A complex-amplitude parameter: a valid value, a tuple for a vector of
+    them; and amplitudes whose intensity is out of range."""
+
+    base: object
+    bad: tuple
+
+
+def amplitude(base, *bad):
+    return Amp(base, bad)
+
+
+def _parts(x):
+    # x as the real, then as the imaginary part; a numpy scalar stays numpy.
+    kind = np.complex128 if isinstance(x, np.generic) else complex
+    return kind(x, 0.0), kind(0.0, x)
+
+
+BAD_INTENSITY = (*(a for x in NON_FINITE for a in _parts(x)), 1e200)  # 1e200: its square overflows
+NOT_AMPLITUDES = (True, np.True_, "x", None)
+
 UNIT = (-0.1, 1.5)  # out of [0, 1]
 DET, VIS = DetectorModel(0.5), InterferenceModel(0.9)
 RING = (1.0 + 0j, 1j, -1.0 + 0j)
@@ -60,13 +85,14 @@ TRIALS, BLOCKS = (0, MAX_TRIALS_PER_BLOCK + 1), (0, MAX_BLOCKS + 1)
 PHOTONS = "mean photon number"
 SWEEP = {"spec": SweepSpec(0.0, 1.0, 2), "params": PARAMS, "workers": integer(1, 0)}
 
-# Every parameter of a row's call, by name: a Num, or a plain valid value.
+# Every parameter of a row's call, by name: a Num, an Amp, or a plain valid value.
 ROWS = {
     "DetectorModel": {"eta": real(0.5, *UNIT), "dark_mean": real(0.0, -1.0)},
     "DriftModel": {"sigma": real(0.1, -0.1)},
     "ExperimentConfig": {
-        "programs": (1.0 + 0j, -1.0 + 0j), "plan": SplitterPlan(0.5), "detectors": (DET,),
-        "interference": (VIS,), "priors": real([0.5, 0.5], -0.5, 1.5),
+        # An amplitude of 2e6 is 4e12 photons, past MAX_INTENSITY.
+        "programs": amplitude((1.0 + 0j, -1.0 + 0j), 2e6 + 0j), "plan": SplitterPlan(0.5),
+        "detectors": (DET,), "interference": (VIS,), "priors": real([0.5, 0.5], -0.5, 1.5),
         "trials_per_block": integer(10, *TRIALS), "blocks": integer(2, *BLOCKS),
         "seed": integer(0, -1), "drift": None, "stabilizer": None,
     },
@@ -84,25 +110,25 @@ ROWS = {
     "StabilizerConfig": {"probe_trials": integer(2000, 0, MAX_PROBE_TRIALS + 1),
                          "dither": real(0.2, 0.0, -0.1), "gain": real(0.7, 0.0, 1.5)},
     "SweepSpec": {"start": real(0.0), "stop": real(1.0), "points": integer(3, 1, MAX_POINTS + 1)},
-    "analytic_nstate_success": {"programs": RING, "k": integer(1, -1, 3),
+    "analytic_nstate_success": {"programs": amplitude(RING), "k": integer(1, -1, 3),
                                 "plan": NStatePlan(3), "det": DET},
-    "analytic_p1": {"alpha_1": 1.0 + 0j, "alpha_2": -1.0 + 0j, "t0": real(0.5, *UNIT),
-                    "eta2": real(0.5, *UNIT)},
-    "analytic_p2": {"alpha_1": 1.0 + 0j, "alpha_2": -1.0 + 0j, "t0": real(0.5, *UNIT),
-                    "eta1": real(0.5, *UNIT)},
+    "analytic_p1": {"alpha_1": amplitude(1.0 + 0j), "alpha_2": amplitude(-1.0 + 0j),
+                    "t0": real(0.5, *UNIT), "eta2": real(0.5, *UNIT)},
+    "analytic_p2": {"alpha_1": amplitude(1.0 + 0j), "alpha_2": amplitude(-1.0 + 0j),
+                    "t0": real(0.5, *UNIT), "eta1": real(0.5, *UNIT)},
     "binomial_stderr": {"p": real(0.5, *UNIT), "n": integer(10, 0)},
     "click_matrix": {"cfg": CFG, "phase_errors": real([0.1, 0.2])},
     "click_probability": {"n": real(1.0, -1.0), "det": DET},
     # The n-state plan, so that its own phase check is reached.
-    "detector_amplitudes": {"alpha_unknown": 1j, "programs": RING, "plan": NStatePlan(3),
-                            "phase_errors": real([0.1, 0.2, 0.3])},
+    "detector_amplitudes": {"alpha_unknown": amplitude(1j), "programs": amplitude(RING),
+                            "plan": NStatePlan(3), "phase_errors": real([0.1, 0.2, 0.3])},
     "evolve": {"phases": real([0.1, 0.2]), "drift": DriftModel(0.1), "rng": RNG},
     "fringe_visibility_equivalent": {"phi": real(0.1)},
     # Sweep users see this label for a negative swept x, where "n" would say less.
     "from_intensity_phase": {"n": real(1.0, -1.0, label=PHOTONS),
                              "phi": real(0.0, label="phase")},
     "nstate_report": {"n": integer(2, 1, MAX_STATES + 1), "params": PARAMS,
-                      "workers": integer(1, 0), "programs": None},
+                      "workers": integer(1, 0), "programs": amplitude((1.0 + 0j, -1.0 + 0j))},
     "nstate_success_from_distances": {"squared_distances": real([1.0, 2.0], -1.0),
                                       "n": integer(3, 1), "eta": real(0.5, *UNIT)},
     "port_mean_photons": {"coherent_sum": 1j, "incoherent_sum_of_intensities": real(1.0, -1.0),
@@ -118,6 +144,12 @@ ROWS = {
     "sweep_intensity": SWEEP,
     "sweep_phase": SWEEP,
     "sweep_ratio": SWEEP,
+}
+
+# Amplitude parameters that the table does not mark, each with its reason.
+UNMARKED_AMPLITUDES = {
+    ("port_mean_photons", "coherent_sum"):
+        "the per-port hot path: one screen per call, which names a non-finite intensity",
 }
 
 WRITER = "a writer: its numbers are a Table's cells, which are data"
@@ -141,24 +173,36 @@ EXEMPT = {
 
 
 def _call(name, **change):
-    args = {p: v.base if isinstance(v, Num) else v for p, v in ROWS[name].items()}
+    args = {p: v.base if isinstance(v, (Num, Amp)) else v for p, v in ROWS[name].items()}
     return getattr(udiscrim, name)(**{**args, **change})
+
+
+def _bad_values(num):
+    """Each bad value of a marked parameter, with the suffix its error adds
+    to the name and the value that error shows."""
+    if isinstance(num, Num):
+        return [(bad, "", bad) for bad in (*NON_FINITE, *num.bad)]
+    # re^2 + im^2, as a float, is what the intensity check shows.
+    intensities = [(a, " intensity", float(a.real * a.real + a.imag * a.imag))
+                   for a in (*BAD_INTENSITY, *num.bad)]
+    return [*intensities, *((bad, "", bad) for bad in NOT_AMPLITUDES)]
 
 
 def _cases():
     for name, row in ROWS.items():
         for param, num in row.items():
-            if not isinstance(num, Num):
+            if not isinstance(num, (Num, Amp)):
                 continue
-            label = num.label or param
-            for bad in (*NON_FINITE, *num.bad):
+            label = getattr(num, "label", None) or param
+            for bad, suffix, shown_value in _bad_values(num):
                 shown = f"numpy-{bad}" if isinstance(bad, np.generic) else bad
-                if not isinstance(num.base, list):
-                    yield pytest.param(name, param, bad, label, bad, id=f"{name}-{param}-{shown}")
+                if not isinstance(num.base, (list, tuple)):
+                    yield pytest.param(name, param, bad, label + suffix, shown_value,
+                                       id=f"{name}-{param}-{shown}")
                     continue
                 for j in (0, len(num.base) - 1):
                     vector = [bad if i == j else x for i, x in enumerate(num.base)]
-                    yield pytest.param(name, param, vector, f"{label}[{j}]", bad,
+                    yield pytest.param(name, param, vector, f"{label}[{j}]{suffix}", shown_value,
                                        id=f"{name}-{param}[{j}]-{shown}")
 
 
@@ -176,6 +220,10 @@ def test_row_names_every_parameter_and_runs(name):
     # A parameter annotated as a number, or as a vector of them, is marked.
     numeric = {p for p, v in params.items() if re.search(r"\b(int|float)\b", str(v.annotation))}
     assert numeric <= {p for p, v in ROWS[name].items() if isinstance(v, Num)}
+    # So is one annotated as an amplitude, or as a vector of them, unless exempted.
+    amplitudes = {p for p, v in params.items() if "ComplexAmplitude" in str(v.annotation)}
+    marked = {p for p, v in ROWS[name].items() if isinstance(v, Amp)}
+    assert amplitudes - marked == {p for n, p in UNMARKED_AMPLITUDES if n == name}
     _call(name)
 
 

@@ -9,6 +9,7 @@ import pytest
 from udiscrim.optics import (
     BeamSplitter,
     apply_phase,
+    as_amplitude,
     as_real,
     as_reals,
     bs_transform,
@@ -161,3 +162,48 @@ class TestAsReals:
     def test_any_length_for_none(self):
         assert as_reals("x", [], None, 0) == []
         assert as_reals("x", (0.0,) * 5, None, 0) == [0.0] * 5
+
+
+def _value_id(value):
+    # A case is named by its value; the expected text keeps pytest's own id.
+    return None if isinstance(value, str) else repr(value)
+
+
+class TestAsAmplitude:
+    @pytest.mark.parametrize(
+        "value",
+        [0, 3, 0.5, -2.0, 1 + 2j, Fraction(1, 3), np.int64(2), np.float64(0.5),
+         np.complex128(1 - 1j), np.complex64(0.5j)],
+        ids=repr,
+    )
+    def test_returns_a_number_unconverted(self, value):
+        assert as_amplitude("a", value) is value
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(True, "True"), (False, "False"), (np.True_, "True"), ("x", "'x'"), (None, "None"),
+         (np.array([1.0]), "array([1.])"), ([1j], "[1j]")],
+        ids=_value_id,
+    )
+    def test_rejects_what_is_not_a_number(self, value, shown):
+        with pytest.raises(ValueError, match=f"^a must be a Complex, got {re.escape(shown)}$"):
+            as_amplitude("a", value)
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(complex(math.nan, 0.0), "nan"), (complex(0.0, math.nan), "nan"),
+         (complex(math.inf, 0.0), "inf"), (complex(0.0, -math.inf), "inf"),
+         (np.complex128(complex(math.nan, 1.0)), "nan"), (np.float64(math.inf), "inf"),
+         (1e200, "inf"), (1e200j, "inf"), pytest.param(10**400, str(10**800), id="10**400")],
+        ids=_value_id,
+    )
+    def test_rejects_an_intensity_that_is_not_finite(self, value, shown):
+        message = rf"^a intensity must be a finite number in \[0, inf\], got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            as_amplitude("a", value)
+
+    def test_names_the_intensity_past_its_cap(self):
+        assert as_amplitude("programs[0]", 2j, hi=4.0) == 2j
+        with pytest.raises(ValueError, match=r"^programs\[0\] intensity must be a finite number "
+                                             r"in \[0, 4\], got 4\.41$"):
+            as_amplitude("programs[0]", 2.1j, hi=4.0)

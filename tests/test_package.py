@@ -1,7 +1,8 @@
 """The package's export list: ``__init__`` names each export twice, in its
 imports and in ``__all__``, and the two must agree.  And the integer rule
 for counts, seeds and state numbers has one owner, ``optics.as_integer``,
-as the rule for vectors of reals has ``optics.as_reals``.  The engine takes
+as the rule for vectors of reals has ``optics.as_reals`` and the rule for
+complex amplitudes ``optics.as_amplitude``.  The engine takes
 no branch on the plan type, and neither does ``network``: each plan
 supplies its arms and stages, and one per-port body serves both.  And the
 chart writer builds each repeated SVG element, a line or a label, in one
@@ -34,6 +35,18 @@ def test_integer_rule_has_one_owner():
     # and message; every entry calls the owner instead.
     sources = Path(udiscrim.__file__).parent.glob("*.py")
     users = sorted(p.name for p in sources if re.search(r"\bIntegral\b", p.read_text()))
+    assert users == ["optics.py"]
+
+
+def test_amplitude_rule_has_one_owner():
+    # The amplitude rule, a Complex that is no bool with a finite intensity in
+    # range, is optics.as_amplitude; a second "... intensity" check beside it
+    # drifts from it, as the bool and the non-number once did.
+    sources = sorted(Path(udiscrim.__file__).parent.glob("*.py"))
+    users = [p.name for p in sources if re.search(r"\bComplex\b", p.read_text())]
+    assert users == ["optics.py"]
+    label = re.compile(r"""as_real\(\s*f?["'][^"']* intensity["']""")
+    users = [p.name for p in sources if label.search(p.read_text())]
     assert users == ["optics.py"]
 
 

@@ -260,21 +260,25 @@ def test_non_finite_input_is_rejected(build):
                      r"eta1 must be a finite number in \[0, 1\], got 2.0",
                      id="analytic-p2-eta-above-one"),
         pytest.param(lambda: analytic_p1(complex(math.nan, 0), -1, 0.5, 0.5),
-                     r"\|alpha_1 - alpha_2\|\^2 must be a finite number in \[0, inf\], got nan",
+                     r"^alpha_1 intensity must be a finite number in \[0, inf\], got nan$",
                      id="analytic-p1-distance-nan"),
-        # Finite states whose squared distance overflows.
+        # A state whose own intensity overflows is named before any distance.
         pytest.param(lambda: analytic_p2(1e200, -1e200, 0.5, 0.5),
-                     r"\|alpha_1 - alpha_2\|\^2 must be a finite number .* got inf",
+                     r"^alpha_1 intensity must be a finite number .* got inf$",
                      id="analytic-p2-distance-inf"),
-        # The n-state form names the term |programs[j] - programs[k]|^2 that
-        # is not finite, not the squared_distances its caller never passed.
+        # Finite states whose squared distance overflows.
+        pytest.param(lambda: analytic_p2(1e154, -1e154, 0.5, 0.5),
+                     r"^\|alpha_1 - alpha_2\|\^2 must be a finite number .* got inf$",
+                     id="analytic-p2-distance-overflow"),
+        # A non-finite state is named by itself; only finite states whose
+        # difference overflows are named by the term |programs[j] - programs[k]|^2.
         pytest.param(lambda: analytic_nstate_success((1.0 + 0j, complex(math.nan, 0.0), 1j), 0,
                                                      NStatePlan(3), DetectorModel(0.5)),
-                     r"^\|programs\[1\] - programs\[0\]\|\^2 must be a finite number in "
+                     r"^programs\[1\] intensity must be a finite number in "
                      r"\[0, inf\], got nan$", id="analytic-nstate-program-nan"),
         pytest.param(lambda: analytic_nstate_success((1.0 + 0j, 1j, complex(0.0, math.inf)), 1,
                                                      NStatePlan(3), DetectorModel(0.5)),
-                     r"^\|programs\[2\] - programs\[1\]\|\^2 must be a finite number in "
+                     r"^programs\[2\] intensity must be a finite number in "
                      r"\[0, inf\], got inf$", id="analytic-nstate-program-inf"),
         pytest.param(lambda: analytic_nstate_success((1e154 + 0j, -1e154 + 0j, 0j), 0,
                                                      NStatePlan(3), DetectorModel(0.5)),
